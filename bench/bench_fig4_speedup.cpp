@@ -26,11 +26,8 @@
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
 #include "hw/device.h"
-#include "nn/conv.h"
 #include "parallel/thread_pool.h"
-#include "prune/pattern.h"
 #include "qnn/autotune.h"
-#include "qnn/qlayers.h"
 #include "tensor/workspace.h"
 #include "zoo/experiment.h"
 
@@ -232,7 +229,7 @@ LatencyStats time_detect(int scenes, int repeats) {
 /// float path runs the fake-quant weights through the float GEMM, then the
 /// model is lowered onto the qnn integer engines and re-timed on identical
 /// scenes. Both paths skip pruned weights; the packed one additionally
-/// executes int8xint4/8 multiplies with integer accumulation.
+/// executes int8 x int8 multiplies with integer accumulation.
 struct PackedTiming {
   LatencyStats fp32;    ///< compressed model, float execution
   LatencyStats packed;  ///< compressed model, packed integer execution
@@ -261,8 +258,8 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   // One untimed float sweep records each conv's output geometry — the
   // auto-tuner calibrates at the layer's real column count.
   for (const auto& scene : set) (void)model.detect(scene);
-  // Tuned lowering: every planned layer races {fp32, segment, int8 panel,
-  // int4 panel} and pins the winner. The one-time cost (tuner sweeps +
+  // Tuned lowering: every planned layer races {fp32, segment, int8 panel}
+  // and pins the winner. The one-time cost (tuner sweeps +
   // panel packing) is reported as pack_ms, separate from the steady-state
   // per-scene latency the spans measure.
   const auto pack_t0 = std::chrono::steady_clock::now();
@@ -326,129 +323,6 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   return t;
 }
 
-/// One pattern-pruned backbone conv, measured segment-vs-pattern.
-struct PatternRow {
-  std::string layer;
-  int bits = 4;
-  std::int64_t taps = 0;    ///< surviving kernel slots (tap-list length)
-  std::int64_t period = 0;  ///< kernel slots per input channel (d*d)
-  double segment_ms = 0.0;  ///< best-of-reps forward, forced segment kernel
-  double pattern_ms = 0.0;  ///< best-of-reps forward, forced pattern panel
-  double speedup = 0.0;     ///< segment_ms / pattern_ms
-  bool tuner_pinned = false;  ///< auto-tuner raced all kernels, pattern won
-};
-
-/// Segment-vs-pattern-panel speedup on pattern-pruned backbone convs.
-///
-/// The HCK plans the zoo produces pick the *mixed* pattern family (each
-/// kernel keeps its own best pattern), whose per-layer union covers every
-/// kernel slot — nothing to compact. The pattern panel targets the
-/// single-root-pattern configuration (Algorithm 3's replication: the group
-/// root picks one kernel pattern and every member adopts it), so this
-/// measurement stamps each conv with its best-fit single pattern (kept-L2
-/// argmax over the enumerated candidates, the same rule assign_masks uses
-/// per kernel) before lowering the same weight both ways. Both engines run
-/// the full im2col+GEMM forward; reps are interleaved so host-load spikes
-/// land on both kernels or neither.
-std::vector<PatternRow> measure_pattern_speedups(int reps) {
-  using namespace upaq;
-  // Second conv of each scaled-config backbone block (stride-1, square 3x3)
-  // at that block's pseudo-image resolution, over a 4-scene batch — the
-  // shapes the packed path actually sees. Block 3 repeats at 8 bits to
-  // cover both code widths the HCK/LCK presets deploy.
-  struct Case {
-    const char* name;
-    std::int64_t channels;
-    std::int64_t hw;
-    int bits;
-  };
-  const Case cases[] = {
-      {"backbone.b1.conv2", 20, 32, 4},
-      {"backbone.b2.conv2", 32, 16, 4},
-      {"backbone.b3.conv2", 48, 8, 4},
-      {"backbone.b3.conv2@w8", 48, 8, 8},
-  };
-  std::vector<PatternRow> rows;
-  Rng rng(515151);
-  const auto candidates = prune::all_patterns(/*n=*/2, /*d=*/3);
-  for (const Case& c : cases) {
-    nn::Conv2d conv(c.channels, c.channels, /*kernel=*/3, /*stride=*/1,
-                    /*pad=*/1, /*bias=*/true, rng, c.name);
-    // Root pattern choice: keep the candidate retaining the most L2 mass
-    // over the whole layer, then replicate it to every kernel.
-    const float* w = conv.weight().value.data();
-    const std::int64_t kernels = c.channels * c.channels;
-    double best_l2 = -1.0;
-    const prune::KernelPattern* best = nullptr;
-    for (const auto& cand : candidates) {
-      double l2 = 0.0;
-      for (std::int64_t t = 0; t < kernels; ++t)
-        for (const auto& [r, col] : cand.positions) {
-          const float v = w[t * 9 + r * 3 + col];
-          l2 += static_cast<double>(v) * v;
-        }
-      if (l2 > best_l2) {
-        best_l2 = l2;
-        best = &cand;
-      }
-    }
-    conv.weight().mask =
-        prune::expand_kernel_mask(*best, conv.weight().value.shape());
-    conv.weight().project();
-
-    qnn::LowerSpec spec;
-    spec.weight_bits = c.bits;
-    spec.group_size = 9;  // per-kernel scales, like the HCK plan
-    spec.act_bits = 8;
-    spec.mode = qnn::PackedGemm::PanelMode::kForceSegment;
-    qnn::PackedConv2d seg(conv, spec);
-    spec.mode = qnn::PackedGemm::PanelMode::kForcePattern;
-    qnn::PackedConv2d pat(conv, spec);
-
-    PatternRow row;
-    row.layer = c.name;
-    row.bits = c.bits;
-    row.period = pat.gemm().pattern_period();
-    row.taps = static_cast<std::int64_t>(pat.gemm().pattern_taps()->size());
-    const Tensor x =
-        Tensor::normal({4, c.channels, c.hw, c.hw}, rng, 0.0f, 1.0f);
-    // Warm both engines (lazy workspace arenas, output allocation), then
-    // best-of-reps with the two kernels interleaved inside each rep.
-    (void)seg.forward(x);
-    (void)pat.forward(x);
-    double seg_best = 0.0, pat_best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)seg.forward(x);
-      const auto t1 = std::chrono::steady_clock::now();
-      (void)pat.forward(x);
-      const auto t2 = std::chrono::steady_clock::now();
-      const double s =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const double p =
-          std::chrono::duration<double, std::milli>(t2 - t1).count();
-      if (seg_best == 0.0 || s < seg_best) seg_best = s;
-      if (pat_best == 0.0 || p < pat_best) pat_best = p;
-    }
-    row.segment_ms = seg_best;
-    row.pattern_ms = pat_best;
-    row.speedup = pat_best > 0.0 ? seg_best / pat_best : 0.0;
-
-    // Auto-tuner race on the same pruned weight: float, segment, int8/int4
-    // panels, pattern panel — pattern must win on its own cold-cache
-    // timing, not by fiat.
-    spec.mode = qnn::PackedGemm::PanelMode::kAuto;
-    qnn::TuneOptions topt;
-    topt.reps = 3;
-    const auto d = qnn::tune_gemm(
-        conv.weight(), c.channels, c.channels * 9, c.hw * c.hw, spec, c.name,
-        topt, /*im2col_expand=*/9, nullptr);
-    row.tuner_pinned = d.winner == qnn::TunedKernel::kPatternPanel;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
 }  // namespace
 
 int main() {
@@ -474,7 +348,7 @@ int main() {
 
   const PackedTiming packed = time_packed_ms(/*scenes=*/4, /*repeats=*/5);
   std::printf("Measured UPAQ(HCK) compressed detect(): p50 %.2f ms/scene "
-              "fp32, p50 %.2f ms/scene packed int8/int4 "
+              "fp32, p50 %.2f ms/scene packed integer "
               "(%d layers on integer path, %d demoted by the in-context "
               "probe, %.2f GOP/s integer GEMM, one-time tune+pack+validate "
               "%.2f ms)\n",
@@ -483,31 +357,6 @@ int main() {
   std::printf("\nPer-layer packed-vs-fp32 speedup, measured (host CPU) vs "
               "modeled int_gemm_speedup (Jetson Orin Nano):\n%s\n",
               prof::int_speedup_table(packed.report).c_str());
-
-  const auto pattern_rows = measure_pattern_speedups(/*reps=*/7);
-  double pattern_log_sum = 0.0;
-  int pattern_pinned = 0;
-  std::printf("Pattern panel vs segment kernel on single-root-pattern "
-              "pruned backbone convs (taps/period = surviving kernel "
-              "slots):\n");
-  std::printf("  %-22s %5s %10s %12s %12s %9s %7s\n", "layer", "bits",
-              "taps", "segment ms", "pattern ms", "speedup", "pinned");
-  for (const auto& r : pattern_rows) {
-    if (r.speedup > 0.0) pattern_log_sum += std::log(r.speedup);
-    pattern_pinned += r.tuner_pinned ? 1 : 0;
-    std::printf("  %-22s %5d %7lld/%-2lld %12.4f %12.4f %8.2fx %7s\n",
-                r.layer.c_str(), r.bits, static_cast<long long>(r.taps),
-                static_cast<long long>(r.period), r.segment_ms, r.pattern_ms,
-                r.speedup, r.tuner_pinned ? "yes" : "no");
-  }
-  const double pattern_geomean =
-      pattern_rows.empty()
-          ? 0.0
-          : std::exp(pattern_log_sum /
-                     static_cast<double>(pattern_rows.size()));
-  std::printf("  geomean %.2fx, auto-tuner pinned pattern_panel on %d/%zu "
-              "layers\n\n",
-              pattern_geomean, pattern_pinned, pattern_rows.size());
 
   // The headline ratio uses the p50s: single-scene tail effects (scheduler
   // preemption on this shared box) hit mean and p99 first, and the ratchet
@@ -542,8 +391,8 @@ int main() {
     std::fprintf(json, "  \"packed_vs_fp32_speedup\": %.4f,\n", speedup);
     std::fprintf(json, "  \"pack_ms\": %.4f,\n", packed.pack_ms);
     // Aggregates over the measured per-layer rows: the floor over every
-    // integer-path layer, and the geomean over the 4-bit rows (the layers
-    // the int4 work targets). Layers the tuner pinned to float are not
+    // integer-path layer, and the geomean over the 4-bit rows (the low-bit
+    // layers the packed path targets). Layers the tuner pinned to float are not
     // integer-path rows, so they cannot drag either number down.
     double min_speedup = 0.0, int4_log_sum = 0.0;
     int int4_rows = 0;
@@ -559,24 +408,6 @@ int main() {
     std::fprintf(json, "  \"int_speedup_min\": %.4f,\n", min_speedup);
     std::fprintf(json, "  \"int4_geomean_speedup\": %.4f,\n",
                  int4_rows > 0 ? std::exp(int4_log_sum / int4_rows) : 0.0);
-    std::fprintf(json, "  \"pattern_geomean_speedup\": %.4f,\n",
-                 pattern_geomean);
-    std::fprintf(json, "  \"pattern_pinned_layers\": %d,\n", pattern_pinned);
-    std::fprintf(json, "  \"pattern_layers\": [\n");
-    for (std::size_t i = 0; i < pattern_rows.size(); ++i) {
-      const auto& r = pattern_rows[i];
-      std::fprintf(json,
-                   "    {\"layer\": \"%s\", \"bits\": %d, \"taps\": %lld, "
-                   "\"period\": %lld, \"segment_ms\": %.4f, "
-                   "\"pattern_ms\": %.4f, \"pattern_speedup\": %.4f, "
-                   "\"tuner_pinned\": %s}%s\n",
-                   r.layer.c_str(), r.bits, static_cast<long long>(r.taps),
-                   static_cast<long long>(r.period), r.segment_ms,
-                   r.pattern_ms, r.speedup,
-                   r.tuner_pinned ? "true" : "false",
-                   i + 1 < pattern_rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"int_speedup_layers\": [\n");
     for (std::size_t i = 0; i < packed.report.rows.size(); ++i) {
       const auto& r = packed.report.rows[i];

@@ -34,13 +34,6 @@ UPAQ_THREADS=4 "$BUILD_DIR"/bench/bench_ablation_micro \
   --benchmark_filter='BM_Gemm' --benchmark_min_time=0.05 \
   || { echo "perf smoke FAILED (equivalence gate)"; exit 1; }
 
-# The packed-integer path does raw bit twiddling (sign extension, packed
-# buffers) — run its suites under ASan/UBSan so memory and UB bugs in the
-# pack/unpack/GEMM code cannot slip past the plain Release gate. The prof
-# suite rides along: its event buffers are touched from every pool worker,
-# so it is the natural place for the sanitizers to catch a lifetime bug.
-# test_gemm_kernel joins them: the panel packer and workspace arena do raw
-# pointer arithmetic over reused blocks, exactly where ASan earns its keep.
 # Packed-vs-fp32 ratchet: the whole point of the panel kernels is that the
 # integer path beats the float path on the same compressed model. The bench
 # recomputes bench_fig4.json; the p50-based ratio must stay above the floor.
@@ -95,7 +88,7 @@ fi
 echo "int_speedup_min=${INT_MIN} (>= 1.0)"
 
 # 4-bit floor: geometric mean of the measured speedups over the surviving
-# bits<=4 rows (the nibble-packed int4 panel / segment kernels). Quiet-box
+# bits<=4 rows, whichever kernel (segment or int8 panel) runs them. Quiet-box
 # runs measure ~1.2-1.35x; the floor keeps margin below that because the
 # probe demotes 4-bit rows under 1.10x but the final sweep can legitimately
 # land a survivor just above 1.0x on a contended host.
@@ -110,41 +103,6 @@ if ! awk -v s="$INT4_GEO" -v f="$INT4_GEOMEAN_FLOOR" 'BEGIN { exit !(s >= f) }';
   exit 1
 fi
 echo "int4_geomean_speedup=${INT4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
-
-# Pattern-panel floor: geometric mean of the segment-vs-pattern speedups on
-# the single-root-pattern pruned backbone convs (bench_fig4's pattern
-# section), plus the requirement that the auto-tuner — racing float,
-# segment, int8/int4 panel, and pattern panel cold-cache on the same pruned
-# weights — pins the pattern kernel on at least one of them. Quiet-box runs
-# measure ~1.25-1.45x geomean; the floor keeps margin for this shared box's
-# run-to-run swing. A failing attempt reruns the bench (same transient-noise
-# policy as the ratchet above); a genuine pattern-kernel regression fails
-# every attempt.
-PATTERN_GEOMEAN_FLOOR="${UPAQ_PATTERN_GEOMEAN_FLOOR:-1.15}"
-echo "==> pattern-panel speedup gate (geomean floor ${PATTERN_GEOMEAN_FLOOR}x, >= 1 tuner-pinned layer)"
-PATTERN_OK=""
-for attempt in $(seq 1 "$RATCHET_ATTEMPTS"); do
-  if [ "$attempt" -gt 1 ]; then
-    UPAQ_THREADS=1 "$BUILD_DIR"/bench/bench_fig4_speedup > /dev/null
-  fi
-  PATTERN_GEO="$(sed -n 's/.*"pattern_geomean_speedup": \([0-9.]*\).*/\1/p' bench_fig4.json)"
-  PATTERN_PINNED="$(sed -n 's/.*"pattern_pinned_layers": \([0-9]*\).*/\1/p' bench_fig4.json)"
-  if [ -z "$PATTERN_GEO" ] || [ -z "$PATTERN_PINNED" ]; then
-    echo "pattern gate FAILED: pattern_geomean_speedup / pattern_pinned_layers missing from bench_fig4.json"
-    exit 1
-  fi
-  if awk -v s="$PATTERN_GEO" -v f="$PATTERN_GEOMEAN_FLOOR" -v p="$PATTERN_PINNED" \
-      'BEGIN { exit !(s >= f && p >= 1) }'; then
-    PATTERN_OK=1
-    break
-  fi
-  echo "pattern gate attempt ${attempt}/${RATCHET_ATTEMPTS}: geomean=${PATTERN_GEO}, pinned=${PATTERN_PINNED}"
-done
-if [ -z "$PATTERN_OK" ]; then
-  echo "pattern gate FAILED: pattern_geomean_speedup=${PATTERN_GEO} (floor ${PATTERN_GEOMEAN_FLOOR}) pinned=${PATTERN_PINNED} (need >= 1) after ${RATCHET_ATTEMPTS} attempts"
-  exit 1
-fi
-echo "pattern_geomean_speedup=${PATTERN_GEO} (>= ${PATTERN_GEOMEAN_FLOOR}), pattern_pinned_layers=${PATTERN_PINNED} (>= 1)"
 
 # Serve smoke: bench_serve --smoke runs the hard equivalence gate first —
 # the streaming server draining a fixed scene stream must produce
@@ -199,12 +157,10 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # test_qgemm_kernel covers the interleaved int8 panel kernel the same way.
 # test_scenarios rides along too: the corruption passes (occlusion shadow
 # walk, dropout filter) and the suite's report assembly are fresh code.
-# test_autotune joins with the int4 additions in test_qgemm_kernel: the
-# nibble packer and the tuner's cache-eviction / scripted-timer paths are
-# exactly the raw-buffer code the sanitizers are here for.
-# test_prune rides with the pattern-panel work: its pattern/mask contracts
-# feed the tap-list derivation and the compacted im2col gather, and the
-# pattern suites in test_qgemm_kernel walk those buffers with raw pointers.
+# test_autotune joins them: the tuner's cache-eviction / scripted-timer
+# paths and the PanelCache it builds through are raw-buffer code too.
+# test_prune rides along: its pattern/mask contracts produce the pruned
+# weights whose zero layout the packer turns into entry lists and panels.
 echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + autotune + prune suites under UPAQ_SANITIZE=address,undefined"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined

@@ -195,7 +195,6 @@ PointPillars::Pillars PointPillars::pillarize(const data::Scene& scene) const {
 
 void PointPillars::pfn_pool_scatter(const Pillars& pil,
                                     const Tensor& point_feats,
-                                    std::int64_t row0,
                                     std::int64_t* argmax_out,
                                     float* pseudo_plane) const {
   const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
@@ -216,12 +215,12 @@ void PointPillars::pfn_pool_scatter(const Pillars& pil,
         const int v = pil.valid_counts[static_cast<std::size_t>(p)];
         for (int ch = 0; ch < c; ++ch) {
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_row = row0 + p * maxp;
+          std::int64_t best_row = p * maxp;
           for (int i = 0; i < v; ++i) {
-            const float val = point_feats.at(row0 + p * maxp + i, ch);
+            const float val = point_feats.at(p * maxp + i, ch);
             if (val > best) {
               best = val;
-              best_row = row0 + p * maxp + i;
+              best_row = p * maxp + i;
             }
           }
           pooled.at(p, ch) = best;
@@ -261,8 +260,7 @@ void PointPillars::forward(const data::Scene& scene, ForwardState& state) {
 
   state.max_argmax.assign(static_cast<std::size_t>(pillar_count * c), 0);
   Tensor pseudo({1, c, cfg_.grid, cfg_.grid});
-  pfn_pool_scatter(pil, point_feats, /*row0=*/0, state.max_argmax.data(),
-                   pseudo.data());
+  pfn_pool_scatter(pil, point_feats, state.max_argmax.data(), pseudo.data());
 
   // Backbone + FPN-style concat + head.
   const Tensor b1 = block_seq_[0].forward(pseudo);
@@ -284,30 +282,17 @@ std::vector<PointPillars::HeadOutput> PointPillars::forward_batch(
   const int c = cfg_.pfn_channels;
   const int g = cfg_.grid;
 
-  // One batched PFN pass over every scene's padded point rows, concatenated.
-  // Linear and ReLU are row-independent, so each row's embedding is bitwise
-  // the same as in the per-scene pass regardless of what rides along.
-  std::int64_t total_rows = 0;
-  for (const auto* pil : batch) total_rows += pil->features.dim(0);
+  // One PFN pass per scene: the packed pfn.linear quantizes its whole input
+  // matrix with one activation scale, so a pass over several scenes' rows
+  // would make each scene's embeddings depend on its batch mates.
+  auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
   Tensor pseudo({b_count, c, g, g});
-  if (total_rows > 0) {
-    Tensor all_feats({total_rows, kPointFeatures});
-    std::int64_t row0 = 0;
-    for (const auto* pil : batch) {
-      const std::int64_t rows = pil->features.dim(0);
-      std::copy(pil->features.data(),
-                pil->features.data() + rows * kPointFeatures,
-                all_feats.data() + row0 * kPointFeatures);
-      row0 += rows;
-    }
-    auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
-    const Tensor point_feats = pfn_relu->forward(pfn_->forward(all_feats));
-    row0 = 0;
-    for (std::int64_t b = 0; b < b_count; ++b) {
-      pfn_pool_scatter(*batch[static_cast<std::size_t>(b)], point_feats, row0,
-                       /*argmax_out=*/nullptr, pseudo.data() + b * c * g * g);
-      row0 += batch[static_cast<std::size_t>(b)]->features.dim(0);
-    }
+  for (std::int64_t b = 0; b < b_count; ++b) {
+    const Pillars& pil = *batch[static_cast<std::size_t>(b)];
+    if (pil.features.dim(0) == 0) continue;
+    const Tensor point_feats = pfn_relu->forward(pfn_->forward(pil.features));
+    pfn_pool_scatter(pil, point_feats, /*argmax_out=*/nullptr,
+                     pseudo.data() + b * c * g * g);
   }
 
   // Backbone + FPN-style concat + head over the batched pseudo-image. Every

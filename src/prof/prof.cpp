@@ -106,7 +106,6 @@ const char* counter_name(Counter c) {
     case Counter::kServeScenes: return "serve_scenes";
     case Counter::kServeShed: return "serve_shed";
     case Counter::kPanelBuilds: return "panel_builds";
-    case Counter::kPatternTapsSkipped: return "pattern_taps_skipped";
     case Counter::kCount: break;
   }
   return "?";

@@ -58,9 +58,6 @@ enum class Counter : int {
   kServeScenes,       ///< serve: scenes completed through the pipeline
   kServeShed,         ///< serve: requests shed (capacity overflow + deadline)
   kPanelBuilds,       ///< packed-weight panel decodes/packs (qnn cache misses)
-  kPatternTapsSkipped,  ///< masked im2col positions elided by the pattern
-                        ///< panel's tap-list compaction (per forward:
-                        ///< dropped k rows x output columns)
   kCount,
 };
 

@@ -17,8 +17,6 @@ const char* tuned_kernel_name(TunedKernel k) {
     case TunedKernel::kFloat: return "float";
     case TunedKernel::kSegment: return "segment";
     case TunedKernel::kInt8Panel: return "int8_panel";
-    case TunedKernel::kInt4Panel: return "int4_panel";
-    case TunedKernel::kPatternPanel: return "pattern_panel";
   }
   return "?";
 }
@@ -26,10 +24,7 @@ const char* tuned_kernel_name(TunedKernel k) {
 PackedGemm::PanelMode tuned_mode(TunedKernel k) {
   switch (k) {
     case TunedKernel::kSegment: return PackedGemm::PanelMode::kForceSegment;
-    case TunedKernel::kInt8Panel: return PackedGemm::PanelMode::kForceInt8;
-    case TunedKernel::kInt4Panel: return PackedGemm::PanelMode::kForceInt4;
-    case TunedKernel::kPatternPanel:
-      return PackedGemm::PanelMode::kForcePattern;
+    case TunedKernel::kInt8Panel: return PackedGemm::PanelMode::kForcePanel;
     case TunedKernel::kFloat: break;
   }
   UPAQ_CHECK(false, "tuned_mode: kFloat pins the fp32 path, not a PanelMode");
@@ -119,9 +114,6 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
     time_cand(TunedKernel::kFloat);
     time_cand(TunedKernel::kSegment);
     if (spec.weight_bits <= 8) time_cand(TunedKernel::kInt8Panel);
-    if (spec.weight_bits <= 4) time_cand(TunedKernel::kInt4Panel);
-    if (pattern_eligible(w.value, spec.weight_bits))
-      time_cand(TunedKernel::kPatternPanel);
   } else {
     // Proxy mode (no layer at hand): deterministic synthetic int8 activation
     // block, scale 1.0 — the kernels' cost depends on shapes and the
@@ -187,12 +179,6 @@ TuneDecision tune_gemm(const nn::Parameter& w, std::int64_t rows,
     };
     time_int(TunedKernel::kSegment);
     if (spec.weight_bits <= 8) time_int(TunedKernel::kInt8Panel);
-    if (spec.weight_bits <= 4) time_int(TunedKernel::kInt4Panel);
-    // Pattern panel last, geometry-gated: its proxy body still feeds the
-    // full-k activation block through run(), so the tap gather it pays in
-    // context (a fraction of the full im2col) is charged here too.
-    if (pattern_eligible(w.value, spec.weight_bits))
-      time_int(TunedKernel::kPatternPanel);
   }
   if (!thrash.empty()) sink ^= thrash[thrash.size() / 2];
   volatile std::uint64_t sink_out = sink;  // observable: loops survive DCE

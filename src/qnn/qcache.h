@@ -2,7 +2,7 @@
 //
 // Quantized weights are static after lowering, so the expensive part of
 // building a PackedGemm — decoding the bit-packed codes and packing the
-// int8/int4 panels — should happen once per (parameter, geometry, spec), not
+// int8 panels — should happen once per (parameter, geometry, spec), not
 // once per engine construction and certainly not once per forward. Entries
 // are keyed on the nn::Parameter's address plus the full pack geometry and
 // validated against Parameter::version (exactly like the fp32 pre-packed

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <utility>
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "tensor/check.h"
 #include "tensor/gemm_kernel.h"
-#include "tensor/workspace.h"
 
 namespace upaq::qnn {
 
@@ -22,30 +17,9 @@ namespace {
 constexpr std::int64_t kMinParallelWork = 1 << 15;
 constexpr std::int64_t kRowGrain = 8;
 
-// Process-wide tap-list interning: leaf layers replicated from one root
-// pattern derive identical (period, taps) and share a single immutable list
-// (pattern fusion — one copy hot in cache regardless of how many layers the
-// pattern was stamped onto). weak_ptr entries let fully-released lists be
-// re-created instead of pinning them forever.
-std::shared_ptr<const std::vector<std::int32_t>> intern_taps(
-    std::int64_t period, std::vector<std::int32_t> taps) {
-  static std::mutex mu;
-  static std::map<std::pair<std::int64_t, std::vector<std::int32_t>>,
-                  std::weak_ptr<const std::vector<std::int32_t>>>
-      registry;
-  std::lock_guard<std::mutex> lock(mu);
-  auto key = std::make_pair(period, taps);
-  auto it = registry.find(key);
-  if (it != registry.end()) {
-    if (auto sp = it->second.lock()) return sp;
-  }
-  auto sp = std::make_shared<const std::vector<std::int32_t>>(std::move(taps));
-  registry[std::move(key)] = sp;
-  return sp;
-}
-
-}  // namespace
-
+// Spatial tap union of a rank-4 (out_c, in_c, d, d) conv weight: the sorted
+// kernel slots ky*d + kx holding at least one nonzero value across every
+// kernel. Empty for non-conv geometry (rank != 4, non-square, or 1x1).
 std::vector<std::int32_t> weight_tap_union(const Tensor& w) {
   if (w.rank() != 4 || w.dim(2) != w.dim(3) || w.dim(2) <= 1) return {};
   const std::int64_t period = w.dim(2) * w.dim(3);
@@ -61,13 +35,7 @@ std::vector<std::int32_t> weight_tap_union(const Tensor& w) {
   return taps;
 }
 
-bool pattern_eligible(const Tensor& w, int weight_bits) {
-  if (weight_bits > 8) return false;
-  if (w.rank() != 4 || w.dim(2) != w.dim(3) || w.dim(2) <= 1) return false;
-  const std::vector<std::int32_t> taps = weight_tap_union(w);
-  return !taps.empty() &&
-         static_cast<std::int64_t>(taps.size()) < w.dim(2) * w.dim(3);
-}
+}  // namespace
 
 std::uint64_t tap_signature(const Tensor& w) {
   const std::vector<std::int32_t> taps = weight_tap_union(w);
@@ -170,137 +138,52 @@ PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
     row_segs_[static_cast<std::size_t>(r)] =
         static_cast<std::int64_t>(segs_.size());
 
-  // Pattern geometry: the packed tensor remembers its original conv shape
-  // (out_c, in_c, d, d) with d > 1 and out_c == rows, in_c*d*d == k. Then
-  // the im2col row order is ch*d*d + ky*d + kx, so column j's kernel slot is
-  // j % (d*d): the stored entry columns reveal the layer's surviving tap
-  // union directly — no separate mask plumbing needed.
-  const auto& sh = w.shape;
-  if (sh.size() == 4 && sh[0] == rows_ && sh[2] == sh[3] && sh[2] > 1 &&
-      sh[1] * sh[2] * sh[3] == k_) {
-    period_ = sh[2] * sh[3];
-  }
-  std::vector<std::int32_t> taps;
-  if (period_ > 0) {
-    std::vector<char> used(static_cast<std::size_t>(period_), 0);
-    for (std::int32_t col : cols_)
-      used[static_cast<std::size_t>(col % period_)] = 1;
-    for (std::int64_t s = 0; s < period_; ++s)
-      if (used[static_cast<std::size_t>(s)])
-        taps.push_back(static_cast<std::int32_t>(s));
-  }
-
-  // Kernel dispatch (PanelMode docs): pattern-structured conv sparsity takes
-  // the tap-compacted pattern panel; dense-ish int8-representable weights
-  // get a blocked panel kernel — the native nibble kernel when the codes fit
-  // 4 bits — and unstructured sparse matrices keep the segment kernels where
-  // the zeros cost nothing. The force modes pin one kernel for the tuner's
-  // candidate timings and the cross-kernel equivalence tests.
+  // Kernel dispatch (PanelMode docs): dense-ish int8-representable weights
+  // get the blocked panel kernel, sparse matrices keep the segment kernels
+  // where the zeros cost nothing. The force modes pin one kernel for the
+  // tuner's candidate timings and the cross-kernel equivalence tests.
   const bool fits_i8 = bits_ <= 8;
-  const bool fits_i4 = bits_ <= 4;
   const double zero_frac =
       1.0 - static_cast<double>(entry_count()) / static_cast<double>(rows * k);
-  const std::int64_t ntaps = static_cast<std::int64_t>(taps.size());
-  const bool want_pattern =
-      mode == PanelMode::kForcePattern ||
-      (mode == PanelMode::kAuto && fits_i8 && period_ > 0 && ntaps > 0 &&
-       ntaps < period_ && zero_frac > gemm::kSparseZeroFraction);
-  if (want_pattern) {
-    UPAQ_CHECK(fits_i8,
-               "PackedGemm: pattern panel needs weight bits <= 8, got " +
-                   std::to_string(bits_));
-    UPAQ_CHECK(period_ > 0 && ntaps > 0,
-               "PackedGemm: pattern panel needs conv geometry with at least "
-               "one surviving kernel tap");
-    taps_ = intern_taps(period_, std::move(taps));
-    rank_.assign(static_cast<std::size_t>(period_), -1);
-    for (std::int64_t i = 0; i < ntaps; ++i)
-      rank_[static_cast<std::size_t>((*taps_)[static_cast<std::size_t>(i)])] =
-          static_cast<std::int32_t>(i);
-    k_compact_ = (k_ / period_) * ntaps;
-    pattern_ = true;
-    // Pattern panels always store int8 codes, even for 4-bit weights: the
-    // tap compaction already shrinks the panel image by period/ntaps (>= 2x,
-    // typically 4.5x under HCK n=2 d=3), well past the 2x the nibble format
-    // buys, and the byte micro-kernel avoids the nibble path's unpack cost —
-    // measured uniformly faster on the compacted shapes (bench_fig4).
-    build_panel(g, /*four=*/false);
-    return;
-  }
   const bool want_panel =
-      mode == PanelMode::kForcePanel || mode == PanelMode::kForceInt8 ||
-      mode == PanelMode::kForceInt4 ||
+      mode == PanelMode::kForcePanel ||
       (mode == PanelMode::kAuto && fits_i8 &&
        zero_frac <= gemm::kSparseZeroFraction);
   if (want_panel) {
     UPAQ_CHECK(fits_i8, "PackedGemm: panel path needs weight bits <= 8, got " +
                             std::to_string(bits_));
-    const bool four = mode == PanelMode::kForceInt4 ||
-                      (mode != PanelMode::kForceInt8 && fits_i4);
-    UPAQ_CHECK(!four || fits_i4,
-               "PackedGemm: int4 panel needs weight bits <= 4, got " +
-                   std::to_string(bits_));
-    build_panel(g, four);
+    build_panel(g);
   }
 }
 
-void PackedGemm::build_panel(std::int64_t group, bool four) {
-  // When the pattern panel is active the panels are packed over the
-  // compacted k axis: full column j maps to compacted column
-  // (j / period) * ntaps + rank[j % period]. Every stored entry's slot is in
-  // the tap union by construction, so the map is total on surviving columns
-  // and strictly increasing — dropped columns are all-zero in every row, so
-  // omitting them changes no int32 accumulation.
-  const std::int64_t ntaps =
-      pattern_ ? static_cast<std::int64_t>(taps_->size()) : 0;
-  const std::int64_t kc = pattern_ ? k_compact_ : k_;
-  auto ccol = [&](std::int64_t col) {
-    return pattern_ ? (col / period_) * ntaps +
-                          rank_[static_cast<std::size_t>(col % period_)]
-                    : col;
-  };
+void PackedGemm::build_panel(std::int64_t group) {
   // Decode the surviving codes ONCE into a dense row-major int8 matrix
   // (bits_ <= 8 guarantees |code| <= 127) — steady-state run() calls never
   // touch the bit-packed representation again.
-  std::vector<std::int8_t> dense(static_cast<std::size_t>(rows_ * kc), 0);
+  std::vector<std::int8_t> dense(static_cast<std::size_t>(rows_ * k_), 0);
   for (std::int64_t r = 0; r < rows_; ++r)
     for (std::int64_t si = row_segs_[static_cast<std::size_t>(r)];
          si < row_segs_[static_cast<std::size_t>(r) + 1]; ++si) {
       const Segment& seg = segs_[static_cast<std::size_t>(si)];
       for (std::int64_t e = seg.begin; e < seg.end; ++e)
-        dense[static_cast<std::size_t>(
-            r * kc + ccol(cols_[static_cast<std::size_t>(e)]))] =
+        dense[static_cast<std::size_t>(r * k_ +
+                                       cols_[static_cast<std::size_t>(e)])] =
             static_cast<std::int8_t>(codes_[static_cast<std::size_t>(e)]);
     }
   // Slab cuts must land on requantization boundaries for EVERY row — a
   // segment straddling a cut would lose its first slab's partial sum (panel
   // accumulators reset per slab). Scale groups tile every row at the same
   // column period only when the group size divides k; otherwise the group
-  // grid drifts across rows and the single safe slab is the whole k. On the
-  // compacted axis, group boundaries survive only when the group is a whole
-  // number of tap periods (UPAQ's per-kernel groups are exactly one period);
-  // a group that cuts inside a period lands mid-tap after compaction, so the
-  // single safe slab is all of k_compact.
-  std::int64_t p;
-  if (pattern_) {
-    p = (group > 0 && k_ % group == 0 && group % period_ == 0)
-            ? (group / period_) * ntaps
-            : kc;
-  } else {
-    p = (group > 0 && k_ % group == 0) ? group : k_;
-  }
-  const std::int64_t slab = std::min(kc, std::max(p, (gemm::kQKC / p) * p));
-  if (four) {
-    gemm::q4_pack_a(dense.data(), rows_, kc, slab, panel4_);
-  } else {
-    gemm::q8_pack_a(dense.data(), rows_, kc, slab, panel_);
-  }
+  // grid drifts across rows and the single safe slab is the whole k.
+  const std::int64_t p = (group > 0 && k_ % group == 0) ? group : k_;
+  const std::int64_t slab = std::min(k_, std::max(p, (gemm::kQKC / p) * p));
+  gemm::q8_pack_a(dense.data(), rows_, k_, slab, panel_);
   // Requantization schedule: one flush event per segment, firing at the
   // column after the segment's last entry. All-zero groups yield no segment
   // and thus no event — exactly like the segment engine, which never
   // requantizes them (flushing an all-zero accumulator could still flip a
   // -0.0 bias fill to +0.0).
-  auto& events = four ? panel4_.events : panel_.events;
+  auto& events = panel_.events;
   const std::int64_t panels = (rows_ + gemm::kQMR - 1) / gemm::kQMR;
   events.assign(static_cast<std::size_t>(panels), {});
   for (std::int64_t r = 0; r < rows_; ++r)
@@ -308,11 +191,7 @@ void PackedGemm::build_panel(std::int64_t group, bool four) {
          si < row_segs_[static_cast<std::size_t>(r) + 1]; ++si) {
       const Segment& seg = segs_[static_cast<std::size_t>(si)];
       gemm::QFlush ev;
-      // Flush columns live on the same axis the panel was packed over, so
-      // compact them with the entries (ccol is strictly increasing on
-      // surviving columns — per-row event order is preserved).
-      ev.col = static_cast<std::int32_t>(
-          ccol(cols_[static_cast<std::size_t>(seg.end - 1)]) + 1);
+      ev.col = cols_[static_cast<std::size_t>(seg.end - 1)] + 1;
       ev.row = static_cast<std::int32_t>(r % gemm::kQMR);
       ev.scale = seg.scale;
       events[static_cast<std::size_t>(r / gemm::kQMR)].push_back(ev);
@@ -339,30 +218,6 @@ void PackedGemm::run(const QuantizedActs& x, const float* bias,
 
 void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
                      const float* bias, float* py) const {
-  if (pattern_) {
-    // Full-k entry for the pattern panel: gather the surviving tap rows into
-    // a compacted (k_compact, n) workspace matrix, then run the compacted
-    // panel. The dropped rows multiply all-zero weight columns, so skipping
-    // them is exact; callers with a conv gather at hand skip this copy by
-    // producing the compacted matrix directly (s8_im2col_taps + run_compact).
-    workspace::Scope ws;
-    std::int8_t* cx = ws.i8(k_compact_ * n);
-    const std::int64_t ntaps = static_cast<std::int64_t>(taps_->size());
-    const std::int32_t* taps = taps_->data();
-    auto gather = [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        const std::int64_t full = (r / ntaps) * period_ + taps[r % ntaps];
-        std::memcpy(cx + r * n, qx + full * n, static_cast<std::size_t>(n));
-      }
-    };
-    if (k_compact_ * n < kMinParallelWork) {
-      gather(0, k_compact_);
-    } else {
-      parallel::parallel_for(0, k_compact_, kRowGrain, gather);
-    }
-    run_compact(cx, sx, n, bias, py);
-    return;
-  }
   prof::add(prof::Counter::kPackedSegments,
             static_cast<std::uint64_t>(segs_.size()));
   prof::add(prof::Counter::kQgemmMacs,
@@ -383,11 +238,7 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
     } else {
       parallel::parallel_for(0, rows_, kRowGrain, fill);
     }
-    if (!panel4_.empty()) {
-      gemm::q4_gemm_panel(panel4_, qx, sx, n, py);
-    } else {
-      gemm::q8_gemm_panel(panel_, qx, sx, n, py);
-    }
+    gemm::q8_gemm_panel(panel_, qx, sx, n, py);
     return;
   }
   // Entry-skipping segment sweep, hosted wholesale in the -march=native
@@ -398,38 +249,6 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
   gemm::s8_gemm_segments(cols_.data(), codes_.data(), segs_.data(),
                          row_segs_.data(), rows_, k_, qx, sx, n, bias, py,
                          /*codes_fit_i8=*/bits_ <= 8);
-}
-
-void PackedGemm::run_compact(const std::int8_t* qx, float sx, std::int64_t n,
-                             const float* bias, float* py) const {
-  UPAQ_CHECK(pattern_, "PackedGemm::run_compact: pattern panel not active");
-  prof::add(prof::Counter::kPackedSegments,
-            static_cast<std::uint64_t>(segs_.size()));
-  prof::add(prof::Counter::kQgemmMacs,
-            static_cast<std::uint64_t>(entry_count()) *
-                static_cast<std::uint64_t>(n));
-  prof::add(prof::Counter::kPatternTapsSkipped,
-            static_cast<std::uint64_t>(k_ - k_compact_) *
-                static_cast<std::uint64_t>(n));
-  // Identical bias prefill + panel replay as run()'s panel branch — only the
-  // k extent differs, and the flush events were compacted with the entries,
-  // so the requantization order per output element is unchanged.
-  auto fill = [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      float* yrow = py + r * n;
-      std::fill(yrow, yrow + n, bias != nullptr ? bias[r] : 0.0f);
-    }
-  };
-  if (rows_ * n < kMinParallelWork) {
-    fill(0, rows_);
-  } else {
-    parallel::parallel_for(0, rows_, kRowGrain, fill);
-  }
-  if (!panel4_.empty()) {
-    gemm::q4_gemm_panel(panel4_, qx, sx, n, py);
-  } else {
-    gemm::q8_gemm_panel(panel_, qx, sx, n, py);
-  }
 }
 
 void PackedGemm::run_t(const QuantizedActs& x, const float* bias,

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "qnn/packed.h"
@@ -58,48 +57,30 @@ float quantize_acts_into(const float* src, std::int64_t count, int bits,
 /// fake-quant reference path).
 Tensor dequantize_acts(const QuantizedActs& acts);
 
-/// Spatial tap union of a rank-4 (out_c, in_c, d, d) conv weight: the sorted
-/// list of kernel slots (ky*d + kx in [0, d*d)) holding at least one nonzero
-/// value across every (out_c, in_c) kernel. This is exactly the union of the
-/// layer's KernelPattern masks after prune::expand_kernel_mask zeroed the
-/// rest, and it is the k-axis structure the pattern panel compacts away.
-/// Returns empty for non-conv geometry (rank != 4, non-square, or 1x1).
-std::vector<std::int32_t> weight_tap_union(const Tensor& w);
-
-/// True when `w` can take the pattern panel: conv geometry with d > 1,
-/// codes that fit the int8 panels (weight_bits <= 8), and a tap union that
-/// is non-empty yet misses at least one slot — i.e. the compaction would
-/// actually shrink k. The auto-tuner gates its kPatternPanel candidate on
-/// this so dense or degenerate layers never race a no-op kernel.
-bool pattern_eligible(const Tensor& w, int weight_bits);
-
-/// Order-sensitive FNV-1a hash over (d*d, tap list) — the tap-list identity
+/// Order-sensitive FNV-1a hash over (d*d, spatial tap union) of a rank-4
+/// (out_c, in_c, d, d) conv weight, where the tap union is the sorted list of
+/// kernel slots ky*d + kx holding a nonzero value in any kernel — the union
+/// of the layer's KernelPattern masks. It is the pattern-mask identity
 /// component of the PanelCache key, so two lowerings of one parameter whose
-/// pattern masks differ can never alias one cached panel. Returns 0 for
-/// non-conv geometry (no taps to identify).
+/// masks differ can never alias one cached panel. Returns 0 for non-conv
+/// geometry (rank != 4, non-square, or 1x1: no taps to identify).
 std::uint64_t tap_signature(const Tensor& w);
 
 class PackedGemm {
  public:
-  /// run() execution strategy. kAuto picks per matrix: conv weights whose
-  /// sparsity is pattern-structured (a rank-4 square-kernel shape whose tap
-  /// union misses slots — the semi-structured pruning masks) take the
-  /// pattern panel, which compacts the masked k rows away and runs the dense
-  /// micro-tile over the surviving taps; other codes that fit int8 (weight
-  /// bits <= 8) and are dense enough (zero fraction at or below
-  /// gemm::kSparseZeroFraction) take a blocked panel kernel — the native
-  /// nibble-packed int4 panel when bits <= 4, the pair-interleaved int8
-  /// panel otherwise; unstructured high-sparsity matrices keep the
-  /// entry-skipping segment kernels, where the zeros are never touched.
-  /// kForcePanel follows the bit-width split; kForceInt8 / kForceInt4 /
-  /// kForcePattern pin one specific kernel (the auto-tuner's candidates, and
-  /// the cross-kernel equivalence tests). All paths are bitwise identical by
-  /// construction, so forcing is never needed for correctness.
-  enum class PanelMode { kAuto, kForcePanel, kForceSegment, kForceInt8,
-                         kForceInt4, kForcePattern };
+  /// run() execution strategy. kAuto picks per matrix from the weight
+  /// itself: codes that fit int8 (weight bits <= 8) and are dense enough
+  /// (zero fraction at or below gemm::kSparseZeroFraction) take the blocked
+  /// pair-interleaved int8 panel kernel; sparse matrices (the pattern-pruned
+  /// convs) keep the entry-skipping segment kernels, where the zeros are
+  /// never touched. kForcePanel / kForceSegment pin one kernel (the
+  /// auto-tuner's candidates, and the cross-kernel equivalence tests). Both
+  /// paths are bitwise identical by construction, so forcing is never needed
+  /// for correctness.
+  enum class PanelMode { kAuto, kForcePanel, kForceSegment };
 
   /// Which kernel run() dispatches to (the auto-tuner's vocabulary).
-  enum class KernelKind { kSegment, kInt8Panel, kInt4Panel, kPatternPanel };
+  enum class KernelKind { kSegment, kInt8Panel };
 
   /// Interprets `w` as a (rows, k) row-major 2-D weight; rows * k must equal
   /// w's element count. Scale groups that straddle row boundaries are split
@@ -117,20 +98,8 @@ class PackedGemm {
   /// `out` a (rows, n) buffer written in place (bias is fused into the
   /// initial fill, so no separate output pass is needed). Lets callers feed
   /// pre-gathered integer columns and write straight into an output slice.
-  /// When the pattern panel is active, the full-k matrix is first compacted
-  /// to the surviving tap rows (an extra copy) — callers that can gather
-  /// compacted columns directly should use run_compact() instead.
   void run(const std::int8_t* codes, float act_scale, std::int64_t n,
            const float* bias, float* out) const;
-
-  /// Pattern-panel entry that skips the full-k gather: `codes` is the
-  /// already-compacted (k_compact, n) activation matrix whose row r holds
-  /// full-matrix row (r / ntaps) * period + taps[r % ntaps] — exactly what
-  /// gemm::s8_im2col_taps produces for this engine's tap list. Only valid
-  /// when pattern_active(); bitwise identical to run() on the full matrix
-  /// (the dropped rows multiply all-zero weight columns).
-  void run_compact(const std::int8_t* codes, float act_scale, std::int64_t n,
-                   const float* bias, float* out) const;
 
   /// Transposed-activation variant for Linear: x laid out (n, k) row-major
   /// (one activation row per batch item), out(n, rows).
@@ -150,49 +119,24 @@ class PackedGemm {
   /// Largest per-group weight scale: max_scale * act_scale is the coarsest
   /// requantization step of an output (the equivalence tolerance unit).
   float max_weight_scale() const { return max_scale_; }
-  /// True when run() dispatches to one of the blocked panel kernels.
-  bool panel_active() const { return !panel_.empty() || !panel4_.empty(); }
-  /// True when the panels were built over the tap-compacted k axis (the
-  /// pattern panel). run() then gathers full-k inputs down to the taps;
-  /// run_compact() accepts pre-compacted inputs.
-  bool pattern_active() const { return pattern_; }
+  /// True when run() dispatches to the blocked int8 panel kernel.
+  bool panel_active() const { return !panel_.empty(); }
   /// The kernel run() dispatches to.
   KernelKind kernel_kind() const {
-    if (pattern_) return KernelKind::kPatternPanel;
-    if (!panel4_.empty()) return KernelKind::kInt4Panel;
-    if (!panel_.empty()) return KernelKind::kInt8Panel;
-    return KernelKind::kSegment;
-  }
-  /// Compacted k extent ((k / period) * ntaps when pattern_active(), else k).
-  std::int64_t k_compact() const { return pattern_ ? k_compact_ : k_; }
-  /// Tap repeat period along k (d*d for conv weights; 0 when not pattern).
-  std::int64_t pattern_period() const { return period_; }
-  /// Interned tap list (shared across engines whose layers replicate the
-  /// same root pattern — leaf fusion); null when not pattern_active().
-  std::shared_ptr<const std::vector<std::int32_t>> pattern_taps() const {
-    return taps_;
+    return panel_active() ? KernelKind::kInt8Panel : KernelKind::kSegment;
   }
 
  private:
   /// Weight scale + entry range [begin, end) of one group slice of a row.
   using Segment = gemm::QSegment;
 
-  void build_panel(std::int64_t group, bool four);
+  void build_panel(std::int64_t group);
 
   std::vector<std::int32_t> cols_;   ///< per entry: column index in [0, k)
   std::vector<std::int32_t> codes_;  ///< per entry: weight code (never 0)
   std::vector<Segment> segs_;
   std::vector<std::int64_t> row_segs_;  ///< rows_+1 offsets into segs_
-  gemm::QPanelA panel_;    ///< non-empty iff run() takes the int8 panel kernel
-  gemm::Q4PanelA panel4_;  ///< non-empty iff run() takes the int4 panel kernel
-  /// Pattern-panel state: surviving kernel slots (ascending, interned so
-  /// leaf layers sharing a root pattern share one list), the inverse map
-  /// slot -> compacted rank (-1 for masked slots), the slot period (d*d),
-  /// and the compacted k extent the panels were packed over.
-  std::shared_ptr<const std::vector<std::int32_t>> taps_;
-  std::vector<std::int32_t> rank_;
-  std::int64_t period_ = 0, k_compact_ = 0;
-  bool pattern_ = false;
+  gemm::QPanelA panel_;  ///< non-empty iff run() takes the int8 panel kernel
   std::int64_t rows_ = 0, k_ = 0;
   int bits_ = 8;
   float max_scale_ = 0.0f;

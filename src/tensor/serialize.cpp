@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace upaq::io {
@@ -39,10 +40,20 @@ Tensor read_tensor(std::istream& is) {
   const auto rank = read_pod<std::uint32_t>(is);
   if (rank > 8) throw std::runtime_error("tensor deserialize: absurd rank");
   Shape shape(rank);
+  // Running element count, checked before every multiply: the byte count
+  // (numel * sizeof(float)) must fit int64, or Tensor(shape) would overflow
+  // computing its size before any allocation could fail cleanly.
+  constexpr std::int64_t kMaxNumel =
+      std::numeric_limits<std::int64_t>::max() /
+      static_cast<std::int64_t>(sizeof(float));
+  std::int64_t numel = 1;
   for (auto& d : shape) {
     d = read_pod<std::int64_t>(is);
     if (d < 0 || d > (1LL << 32))
       throw std::runtime_error("tensor deserialize: absurd dimension");
+    if (d > 0 && numel > kMaxNumel / d)
+      throw std::runtime_error("tensor deserialize: element count overflows");
+    numel *= d;
   }
   Tensor t(shape);
   is.read(reinterpret_cast<char*>(t.data()),

@@ -2,11 +2,11 @@
 // the persistent packed-panel cache (qnn::PanelCache):
 //   - deterministic winner pinning through the injectable scripted timer,
 //     relying on the documented clock contract (exactly 2 calls per timed
-//     rep, candidates in fixed order float/segment/int8/int4);
+//     rep, candidates in fixed order float/segment/int8);
 //   - min-of-reps timing, strict-< tie-breaking toward the earlier
 //     fixed-order candidate, and the float_margin near-tie gate;
-//   - the candidate list narrowing with the spec's code width (no int4
-//     candidate above 4 bits, no int8 panel above 8);
+//   - the candidate list narrowing with the spec's code width (no int8
+//     panel above 8 bits);
 //   - PanelCache hit/miss accounting, Parameter::version-bump invalidation
 //     (rebuild yields a fresh image, bitwise-identical output when the value
 //     itself is unchanged), and the winner's image staying cached after a
@@ -78,20 +78,19 @@ qnn::LowerSpec spec4() {
 TEST(Autotune, ScriptedTimerPinsFastestIntegerCandidate) {
   Rng rng(7);
   nn::Parameter w("w", Tensor::normal({8, 32}, rng));
-  // Candidate order float, segment, int8_panel, int4_panel.
-  ScriptedClock clk{{400, 300, 200, 100}};
+  // Candidate order float, segment, int8_panel.
+  ScriptedClock clk{{400, 300, 100}};
   const qnn::TuneDecision d =
       qnn::tune_gemm(w, 8, 32, 16, spec4(), "l.pin", scripted(clk));
-  ASSERT_EQ(d.candidates.size(), 4u);
+  ASSERT_EQ(d.candidates.size(), 3u);
   EXPECT_EQ(d.candidates[0].kernel, TunedKernel::kFloat);
   EXPECT_EQ(d.candidates[1].kernel, TunedKernel::kSegment);
   EXPECT_EQ(d.candidates[2].kernel, TunedKernel::kInt8Panel);
-  EXPECT_EQ(d.candidates[3].kernel, TunedKernel::kInt4Panel);
   EXPECT_EQ(d.candidates[0].ns, 400u);
-  EXPECT_EQ(d.candidates[3].ns, 100u);
-  EXPECT_EQ(d.winner, TunedKernel::kInt4Panel);
+  EXPECT_EQ(d.candidates[2].ns, 100u);
+  EXPECT_EQ(d.winner, TunedKernel::kInt8Panel);
   // The clock contract the scripting relies on: 2 calls per timed rep.
-  EXPECT_EQ(*clk.calls, 2u * 4u);
+  EXPECT_EQ(*clk.calls, 2u * 3u);
 }
 
 TEST(Autotune, KeepsMinOfReps) {
@@ -100,23 +99,21 @@ TEST(Autotune, KeepsMinOfReps) {
   // 3 reps per candidate; each candidate's ns must be its per-rep minimum.
   ScriptedClock clk{{900, 400, 800,     // float  -> 400
                      300, 700, 350,     // segment -> 300
-                     600, 250, 900,     // int8   -> 250
-                     500, 450, 990}};   // int4   -> 450
+                     600, 250, 900}};   // int8   -> 250
   const qnn::TuneDecision d = qnn::tune_gemm(w, 6, 24, 16, spec4(), "l.reps",
                                              scripted(clk, /*reps=*/3));
-  ASSERT_EQ(d.candidates.size(), 4u);
+  ASSERT_EQ(d.candidates.size(), 3u);
   EXPECT_EQ(d.candidates[0].ns, 400u);
   EXPECT_EQ(d.candidates[1].ns, 300u);
   EXPECT_EQ(d.candidates[2].ns, 250u);
-  EXPECT_EQ(d.candidates[3].ns, 450u);
   EXPECT_EQ(d.winner, TunedKernel::kInt8Panel);
-  EXPECT_EQ(*clk.calls, 2u * 3u * 4u);
+  EXPECT_EQ(*clk.calls, 2u * 3u * 3u);
 }
 
 TEST(Autotune, IntegerTieKeepsEarlierFixedOrderCandidate) {
   Rng rng(9);
   nn::Parameter w("w", Tensor::normal({8, 32}, rng));
-  ScriptedClock clk{{500, 200, 200, 200}};
+  ScriptedClock clk{{500, 200, 200}};
   const qnn::TuneDecision d =
       qnn::tune_gemm(w, 8, 32, 16, spec4(), "l.tie", scripted(clk));
   EXPECT_EQ(d.winner, TunedKernel::kSegment);
@@ -129,20 +126,20 @@ TEST(Autotune, FloatMarginGatesNearTies) {
   // (margin 1.0) pins float; the default-style 0.9 margin demands a
   // decisive >10% win, so the near-tie stays on the packed path.
   {
-    ScriptedClock clk{{95, 100, 110, 120}};
+    ScriptedClock clk{{95, 100, 110}};
     const qnn::TuneDecision d = qnn::tune_gemm(
         w, 8, 32, 16, spec4(), "l.m1", scripted(clk, 1, /*float_margin=*/1.0));
     EXPECT_EQ(d.winner, TunedKernel::kFloat);
   }
   {
-    ScriptedClock clk{{95, 100, 110, 120}};
+    ScriptedClock clk{{95, 100, 110}};
     const qnn::TuneDecision d = qnn::tune_gemm(
         w, 8, 32, 16, spec4(), "l.m2", scripted(clk, 1, /*float_margin=*/0.9));
     EXPECT_EQ(d.winner, TunedKernel::kSegment);
   }
   // A decisive float win clears any margin.
   {
-    ScriptedClock clk{{50, 100, 110, 120}};
+    ScriptedClock clk{{50, 100, 110}};
     const qnn::TuneDecision d = qnn::tune_gemm(
         w, 8, 32, 16, spec4(), "l.m3", scripted(clk, 1, /*float_margin=*/0.9));
     EXPECT_EQ(d.winner, TunedKernel::kFloat);
@@ -152,18 +149,21 @@ TEST(Autotune, FloatMarginGatesNearTies) {
 TEST(Autotune, CandidateListNarrowsWithCodeWidth) {
   Rng rng(11);
   nn::Parameter w("w", Tensor::normal({8, 32}, rng));
-  // 8-bit codes do not fit nibbles: no int4 candidate.
-  qnn::LowerSpec s8 = spec4();
-  s8.weight_bits = 8;
-  {
+  // Codes that fit int8 (4 and 8 bits alike) race all three candidates.
+  for (int bits : {4, 8}) {
+    qnn::LowerSpec spec = spec4();
+    spec.weight_bits = bits;
     ScriptedClock clk{{400, 300, 200}};
     const qnn::TuneDecision d =
-        qnn::tune_gemm(w, 8, 32, 16, s8, "l.w8", scripted(clk));
-    ASSERT_EQ(d.candidates.size(), 3u);
-    EXPECT_EQ(d.candidates.back().kernel, TunedKernel::kInt8Panel);
+        qnn::tune_gemm(w, 8, 32, 16, spec, "l.narrow", scripted(clk));
+    ASSERT_EQ(d.candidates.size(), 3u) << bits << "-bit codes";
+    EXPECT_EQ(d.candidates[0].kernel, TunedKernel::kFloat);
+    EXPECT_EQ(d.candidates[1].kernel, TunedKernel::kSegment);
+    EXPECT_EQ(d.candidates[2].kernel, TunedKernel::kInt8Panel);
     EXPECT_EQ(d.winner, TunedKernel::kInt8Panel);
   }
-  // Codes wider than 8 bits fit neither panel: segment races float alone.
+  // Codes wider than 8 bits do not fit the panel: segment races float
+  // alone.
   qnn::LowerSpec s12 = spec4();
   s12.weight_bits = 12;
   {
@@ -182,18 +182,18 @@ TEST(Autotune, WinnersPackedImageStaysCachedForLowering) {
   cache.reset_stats();
   Rng rng(12);
   nn::Parameter w("w", Tensor::normal({8, 32}, rng));
-  ScriptedClock clk{{400, 300, 200, 100}};
+  ScriptedClock clk{{400, 300, 100}};
   const qnn::TuneDecision d =
       qnn::tune_gemm(w, 8, 32, 16, spec4(), "l.cache", scripted(clk));
-  EXPECT_EQ(d.winner, TunedKernel::kInt4Panel);
+  EXPECT_EQ(d.winner, TunedKernel::kInt8Panel);
   // The tune built each integer candidate exactly once through the cache...
-  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
   // ...so attaching the winner's engine afterwards is a pure cache hit.
   const qnn::LowerSpec spec = spec4();
   (void)cache.get_or_build(w, 8, 32, spec.weight_bits, spec.group_size,
                            spec.format, qnn::tuned_mode(d.winner));
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(Autotune, PanelCacheVersionBumpInvalidates) {
@@ -202,7 +202,7 @@ TEST(Autotune, PanelCacheVersionBumpInvalidates) {
   cache.reset_stats();
   Rng rng(13);
   nn::Parameter w("w", Tensor::normal({10, 40}, rng));
-  const auto mode = qnn::PackedGemm::PanelMode::kForceInt4;
+  const auto mode = qnn::PackedGemm::PanelMode::kForcePanel;
 
   const auto g1 = cache.get_or_build(w, 10, 40, 4, 8,
                                      quant::StorageFormat::kDense, mode);
@@ -250,7 +250,7 @@ TEST(Autotune, EmitsObsPinEventWithPerCandidateTimings) {
   obs::reset();
   Rng rng(14);
   nn::Parameter w("w", Tensor::normal({8, 32}, rng));
-  ScriptedClock clk{{400, 300, 200, 100}};
+  ScriptedClock clk{{400, 300, 100}};
   (void)qnn::tune_gemm(w, 8, 32, 16, spec4(), "l.obs", scripted(clk));
 
   obs::Event pin;
@@ -263,49 +263,11 @@ TEST(Autotune, EmitsObsPinEventWithPerCandidateTimings) {
     return "<missing>";
   };
   EXPECT_EQ(field("layer"), "l.obs");
-  EXPECT_EQ(field("kernel"), "int4_panel");
+  EXPECT_EQ(field("kernel"), "int8_panel");
   EXPECT_EQ(field("float_ns"), "400");
   EXPECT_EQ(field("segment_ns"), "300");
-  EXPECT_EQ(field("int8_panel_ns"), "200");
-  EXPECT_EQ(field("int4_panel_ns"), "100");
+  EXPECT_EQ(field("int8_panel_ns"), "100");
   obs::reset();
-}
-
-TEST(Autotune, PatternCandidateRacesOnlyOnPatternEligibleWeights) {
-  Rng rng(99);
-  // Conv-shaped weight whose kernels keep only the top-row slots {0, 1, 2}:
-  // pattern_eligible holds, so the pattern panel joins the race as the last
-  // fixed-order candidate — and the scripted clock hands it the win.
-  Tensor wv = Tensor::normal({8, 4, 3, 3}, rng);
-  for (std::int64_t i = 0; i < wv.numel(); ++i)
-    if (i % 9 >= 3) wv[i] = 0.0f;
-  nn::Parameter w("w", wv);
-  ScriptedClock clk{{500, 400, 300, 200, 100}};
-  const qnn::TuneDecision d =
-      qnn::tune_gemm(w, 8, 36, 16, spec4(), "l.pat", scripted(clk));
-  ASSERT_EQ(d.candidates.size(), 5u);
-  EXPECT_EQ(d.candidates[4].kernel, TunedKernel::kPatternPanel);
-  EXPECT_EQ(d.candidates[4].ns, 100u);
-  EXPECT_EQ(d.winner, TunedKernel::kPatternPanel);
-  EXPECT_EQ(*clk.calls, 2u * 5u);
-
-  // Dense conv weight: the tap union fills every slot, compaction would be
-  // a no-op, no pattern candidate (the fixed list stays at four).
-  nn::Parameter wd("wd", Tensor::normal({8, 4, 3, 3}, rng));
-  ScriptedClock clk2{{400, 300, 200, 100}};
-  const qnn::TuneDecision d2 =
-      qnn::tune_gemm(wd, 8, 36, 16, spec4(), "l.dense", scripted(clk2));
-  EXPECT_EQ(d2.candidates.size(), 4u);
-  // Rank-2 weight (no conv geometry): likewise no pattern candidate, even
-  // when sparse.
-  Tensor lv = Tensor::normal({8, 36}, rng);
-  for (std::int64_t i = 0; i < lv.numel(); ++i)
-    if (i % 3 != 0) lv[i] = 0.0f;
-  nn::Parameter wl("wl", lv);
-  ScriptedClock clk3{{400, 300, 200, 100}};
-  const qnn::TuneDecision d3 =
-      qnn::tune_gemm(wl, 8, 36, 16, spec4(), "l.lin", scripted(clk3));
-  EXPECT_EQ(d3.candidates.size(), 4u);
 }
 
 }  // namespace

@@ -136,9 +136,8 @@ TEST(Pattern, ExpandKernelMaskTilesEveryKernel) {
 
 TEST(Pattern, AllPatternsOneByOneKernelCollapsesToTheSinglePosition) {
   // 1x1 kernels have exactly one slot, so every type degenerates to {(0,0)}:
-  // 2 diagonals + 1 row + 1 column, all with the same position set. These
-  // feed the pattern panel's tap derivation, which must then see a full tap
-  // union (1 of 1) and never compact a 1x1 conv.
+  // 2 diagonals + 1 row + 1 column, all with the same position set, so a
+  // pruned 1x1 conv always keeps its single slot.
   const auto all = prune::all_patterns(1, 1);
   EXPECT_EQ(all.size(), 4u);
   for (const auto& p : all) {
@@ -151,8 +150,7 @@ TEST(Pattern, AllPatternsOneByOneKernelCollapsesToTheSinglePosition) {
 
 TEST(Pattern, AllPatternsDegenerateDiagonalsAtNEqualsD) {
   // n == d: the diagonals use every (j, j) / (j, d-1-j) position — the
-  // longest patterns the generator can emit, and the widest tap lists the
-  // pattern kernels compact to.
+  // longest patterns the generator can emit.
   for (int d : {3, 5}) {
     const auto all = prune::all_patterns(d, d);
     const auto& main_d = all[0];

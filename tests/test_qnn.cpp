@@ -1,5 +1,5 @@
 // Equivalence + determinism suite for the packed integer inference path
-// (upaq::qnn): the int8/int4 GEMM must match the fake-quant float path
+// (upaq::qnn): the integer GEMM must match the fake-quant float path
 // within one requantization step (max weight scale x activation scale) for
 // dense, bitmap-sparse and all four pattern families, stay bitwise
 // identical across thread counts, never store masked positions, and keep

@@ -17,6 +17,8 @@
 #include <set>
 #include <vector>
 
+#include "core/qmodel.h"
+#include "core/upaq.h"
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
 #include "parallel/thread_pool.h"
@@ -52,10 +54,10 @@ std::vector<data::Scene> test_scenes(int n, std::uint64_t seed = 7) {
   return out;
 }
 
-std::unique_ptr<detectors::PointPillars> make_model() {
+std::unique_ptr<detectors::PointPillars> make_model(
+    detectors::PointPillarsConfig cfg = detectors::PointPillarsConfig::scaled()) {
   Rng rng(4242);
-  auto model = std::make_unique<detectors::PointPillars>(
-      detectors::PointPillarsConfig::scaled(), rng);
+  auto model = std::make_unique<detectors::PointPillars>(cfg, rng);
   model->set_training(false);
   return model;
 }
@@ -101,15 +103,11 @@ std::vector<serve::Result> drain_all(detectors::PointPillars& model,
   return results;
 }
 
-/// The tentpole property: served == serial, bitwise, for every combination
-/// of thread count x batch size x pipeline mode.
-TEST_F(ServeTest, DetectionsMatchSerialLoopAtEveryThreadAndBatchSize) {
-  auto model = make_model();
-  const auto scenes = test_scenes(5);
-
-  std::vector<std::vector<eval::Box3D>> serial;
-  for (const auto& s : scenes) serial.push_back(model->detect(s));
-
+/// Serves `scenes` through `model` at every thread count x batch size x
+/// pipeline mode and asserts each result equals `serial`, bitwise.
+void expect_serve_matches_serial(
+    detectors::PointPillars& model, const std::vector<data::Scene>& scenes,
+    const std::vector<std::vector<eval::Box3D>>& serial) {
   for (const int threads : {1, 4}) {
     parallel::set_thread_count(threads);
     for (const int batch : {1, 2, 4}) {
@@ -118,7 +116,7 @@ TEST_F(ServeTest, DetectionsMatchSerialLoopAtEveryThreadAndBatchSize) {
         cfg.max_batch = batch;
         cfg.queue_capacity = static_cast<int>(scenes.size()) + 1;
         cfg.pipeline = pipeline;
-        const auto results = drain_all(*model, scenes, cfg);
+        const auto results = drain_all(model, scenes, cfg);
         ASSERT_EQ(results.size(), scenes.size())
             << "threads=" << threads << " batch=" << batch
             << " pipeline=" << pipeline;
@@ -133,6 +131,46 @@ TEST_F(ServeTest, DetectionsMatchSerialLoopAtEveryThreadAndBatchSize) {
       }
     }
   }
+}
+
+/// The tentpole property: served == serial, bitwise, for every combination
+/// of thread count x batch size x pipeline mode.
+TEST_F(ServeTest, DetectionsMatchSerialLoopAtEveryThreadAndBatchSize) {
+  auto model = make_model();
+  const auto scenes = test_scenes(5);
+
+  std::vector<std::vector<eval::Box3D>> serial;
+  for (const auto& s : scenes) serial.push_back(model->detect(s));
+  expect_serve_matches_serial(*model, scenes, serial);
+}
+
+/// The same property on the packed integer path. The lowered model
+/// quantizes each layer's activations with a per-matrix scale, so any
+/// layer that saw several scenes in one matrix would make a scene's
+/// detections depend on its batch mates.
+TEST_F(ServeTest, PackedModelDetectionsMatchSerialLoopInBatches) {
+  // An untrained head scores every anchor near its sigmoid(-2.5) ~ 0.076
+  // prior, far below the default threshold; 0.08 keeps a few dozen boxes
+  // over the scene set, whose scores are the bitwise-sensitive part of the
+  // comparison.
+  auto cfg = detectors::PointPillarsConfig::scaled();
+  cfg.score_threshold = 0.08f;
+  auto model = make_model(cfg);
+  core::UpaqCompressor compressor(core::UpaqConfig::hck());
+  auto result = compressor.compress(*model);
+  model->set_training(false);
+  core::QuantizedModel qmodel(*model, std::move(result.plan));
+  ASSERT_GT(qmodel.lowered_layers(), 0);
+  const auto scenes = test_scenes(6);
+
+  std::vector<std::vector<eval::Box3D>> serial;
+  std::size_t boxes = 0;
+  for (const auto& s : scenes) {
+    serial.push_back(qmodel.detect(s));
+    boxes += serial.back().size();
+  }
+  ASSERT_GT(boxes, 0u) << "no detections: the comparison would be vacuous";
+  expect_serve_matches_serial(*model, scenes, serial);
 }
 
 /// Capacity overflow sheds the oldest request of the lowest priority; when

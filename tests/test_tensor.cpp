@@ -221,5 +221,19 @@ TEST(Serialize, RejectsGarbage) {
   std::filesystem::remove(path);
 }
 
+TEST(Serialize, RejectsHeaderWhoseElementCountOverflows) {
+  // Every dimension passes the per-dimension bound (<= 2^32), but their
+  // product (2^96) overflows int64: the reader must throw before
+  // constructing the tensor.
+  std::stringstream ss;
+  const std::uint32_t rank = 3;
+  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  for (int i = 0; i < 3; ++i) {
+    const std::int64_t d = std::int64_t{1} << 32;
+    ss.write(reinterpret_cast<const char*>(&d), sizeof(d));
+  }
+  EXPECT_THROW(io::read_tensor(ss), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace upaq
