@@ -63,9 +63,9 @@ PointPillars::PointPillars(PointPillarsConfig cfg, Rng& rng) : cfg_(std::move(cf
 
   // Pillar Feature Network: per-point linear (a bank of 1x1 kernels) + ReLU.
   pfn_ = add<nn::Linear>(kPointFeatures, cfg_.pfn_channels, true, rng, "pfn.linear");
-  auto* pfn_relu = add<nn::Relu>("pfn.relu");
+  pfn_relu_ = add<nn::Relu>("pfn.relu");
   const int pfn_node = graph_.add_node("pfn.linear", pfn_, {points_node});
-  const int pfn_relu_node = graph_.add_node("pfn.relu", pfn_relu, {pfn_node});
+  const int pfn_relu_node = graph_.add_node("pfn.relu", pfn_relu_, {pfn_node});
   const int scatter_node = graph_.add_node("scatter", nullptr, {pfn_relu_node});
 
   // Backbone blocks; each block's first conv downsamples 2x.
@@ -142,40 +142,73 @@ PointPillars::Pillars PointPillars::pillarize(const data::Scene& scene) const {
   const int g = cfg_.grid;
   const int maxp = cfg_.max_points_per_pillar;
 
-  // Bucket points by pillar cell.
-  std::map<std::pair<int, int>, std::vector<const data::LidarPoint*>> buckets;
-  for (const auto& p : scene.points) {
-    if (p.x < cfg_.x_min || p.x >= cfg_.x_max || p.y < cfg_.y_min || p.y >= cfg_.y_max)
+  // Bucket points by pillar cell with a stable counting sort over the g x g
+  // cells: pillars come out in ascending (row, col) order and each pillar's
+  // points in scene order. A point is kept only when every field is finite
+  // and (x, y) lies inside the BEV range. The range test is written negated,
+  // so a NaN or infinite x or y fails it instead of reaching the int cast.
+  const auto point_count = static_cast<std::int64_t>(scene.points.size());
+  std::vector<std::int32_t> cell(static_cast<std::size_t>(point_count), -1);
+  std::vector<std::int32_t> offset(static_cast<std::size_t>(g) * g + 1, 0);
+  for (std::int64_t i = 0; i < point_count; ++i) {
+    const auto& p = scene.points[static_cast<std::size_t>(i)];
+    if (!std::isfinite(p.z) || !std::isfinite(p.intensity)) continue;
+    if (!(p.x >= cfg_.x_min && p.x < cfg_.x_max) ||
+        !(p.y >= cfg_.y_min && p.y < cfg_.y_max))
       continue;
     const int col = static_cast<int>((p.x - cfg_.x_min) / pillar);
     const int row = static_cast<int>((p.y - cfg_.y_min) / pillar);
     if (col < 0 || col >= g || row < 0 || row >= g) continue;
-    buckets[{row, col}].push_back(&p);
+    cell[static_cast<std::size_t>(i)] = row * g + col;
+    ++offset[static_cast<std::size_t>(row * g + col) + 1];
+  }
+  for (std::size_t c = 1; c < offset.size(); ++c) offset[c] += offset[c - 1];
+  // Scatter in scene order; afterwards offset[c] is the end of cell c (and
+  // so the start of cell c + 1).
+  std::vector<std::int32_t> sorted(static_cast<std::size_t>(offset.back()));
+  for (std::int64_t i = 0; i < point_count; ++i) {
+    const std::int32_t c = cell[static_cast<std::size_t>(i)];
+    if (c < 0) continue;
+    auto& slot = offset[static_cast<std::size_t>(c)];
+    sorted[static_cast<std::size_t>(slot++)] = static_cast<std::int32_t>(i);
   }
 
+  const auto cell_begin = [&](std::size_t c) { return c == 0 ? 0 : offset[c - 1]; };
+
+  // Only real point rows, pillar-major: pillar p owns the valid_counts[p]
+  // rows after those of pillars 0..p-1.
   Pillars out;
-  const auto pillar_count = static_cast<std::int64_t>(buckets.size());
-  out.features = Tensor({pillar_count * maxp, kPointFeatures});
-  out.valid_counts.reserve(buckets.size());
-  out.coords.reserve(buckets.size());
-  std::int64_t pi = 0;
-  for (const auto& [coord, pts] : buckets) {
-    const int v = std::min<int>(static_cast<int>(pts.size()), maxp);
+  std::int64_t rows = 0;
+  for (std::size_t c = 0; c + 1 < offset.size(); ++c) {
+    if (offset[c] == cell_begin(c)) continue;
+    out.coords.emplace_back(static_cast<int>(c) / g, static_cast<int>(c) % g);
+    out.valid_counts.push_back(std::min(offset[c] - cell_begin(c), maxp));
+    rows += out.valid_counts.back();
+  }
+  out.features = Tensor({rows, kPointFeatures});
+  float* f = out.features.data();
+  for (std::size_t pi = 0; pi < out.coords.size(); ++pi) {
+    const auto [row, col] = out.coords[pi];
+    const std::int32_t* idx =
+        sorted.data() + cell_begin(static_cast<std::size_t>(row * g + col));
+    const int v = out.valid_counts[pi];
+    const auto pt = [&](int i) -> const data::LidarPoint& {
+      return scene.points[static_cast<std::size_t>(idx[i])];
+    };
     // Mean of the pillar's points (for the offset features).
     float mx = 0, my = 0, mz = 0;
     for (int i = 0; i < v; ++i) {
-      mx += pts[static_cast<std::size_t>(i)]->x;
-      my += pts[static_cast<std::size_t>(i)]->y;
-      mz += pts[static_cast<std::size_t>(i)]->z;
+      mx += pt(i).x;
+      my += pt(i).y;
+      mz += pt(i).z;
     }
     mx /= static_cast<float>(v);
     my /= static_cast<float>(v);
     mz /= static_cast<float>(v);
-    const float cx = cfg_.x_min + (static_cast<float>(coord.second) + 0.5f) * pillar;
-    const float cy = cfg_.y_min + (static_cast<float>(coord.first) + 0.5f) * pillar;
-    for (int i = 0; i < v; ++i) {
-      const auto& p = *pts[static_cast<std::size_t>(i)];
-      float* f = out.features.data() + (pi * maxp + i) * kPointFeatures;
+    const float cx = cfg_.x_min + (static_cast<float>(col) + 0.5f) * pillar;
+    const float cy = cfg_.y_min + (static_cast<float>(row) + 0.5f) * pillar;
+    for (int i = 0; i < v; ++i, f += kPointFeatures) {
+      const auto& p = pt(i);
       f[0] = p.x / cfg_.x_max;  // normalized absolute position
       f[1] = p.y / cfg_.y_max;
       f[2] = p.z / 3.0f;
@@ -186,65 +219,69 @@ PointPillars::Pillars PointPillars::pillarize(const data::Scene& scene) const {
       f[7] = p.x - cx;
       f[8] = p.y - cy;
     }
-    out.valid_counts.push_back(v);
-    out.coords.push_back(coord);
-    ++pi;
   }
   return out;
 }
 
-void PointPillars::pfn_pool_scatter(const Pillars& pil,
-                                    const Tensor& point_feats,
-                                    std::int64_t* argmax_out,
-                                    float* pseudo_plane) const {
+Tensor PointPillars::pfn_embed(const Pillars& pil, std::int64_t* argmax_out) {
   const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
-  const int maxp = cfg_.max_points_per_pillar;
+  const int c = cfg_.pfn_channels;
+
+  // Linear + ReLU on every point row.
+  Tensor point_feats = pfn_->forward(pil.features);  // (rows, C)
+  pfn_relu_->forward_inplace(point_feats);
+
+  // Max over each pillar's point rows; remember winners for backward when
+  // requested. Pillars are independent (disjoint writes into pooled and the
+  // argmax table), so the pillar loop parallelises deterministically; each
+  // chunk starts from its pillars' running row offset.
+  Tensor pooled({std::max<std::int64_t>(pillar_count, 1), c});
+  prof::Span pool_span("pfn.maxpool");
+  std::vector<std::int64_t> first_row(static_cast<std::size_t>(pillar_count) + 1, 0);
+  for (std::int64_t p = 0; p < pillar_count; ++p)
+    first_row[static_cast<std::size_t>(p) + 1] =
+        first_row[static_cast<std::size_t>(p)] +
+        pil.valid_counts[static_cast<std::size_t>(p)];
+  parallel::parallel_for(0, pillar_count, 64, [&](std::int64_t p0,
+                                                  std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const std::int64_t r0 = first_row[static_cast<std::size_t>(p)];
+      const std::int64_t r1 = first_row[static_cast<std::size_t>(p) + 1];
+      for (int ch = 0; ch < c; ++ch) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t best_row = r0;
+        for (std::int64_t r = r0; r < r1; ++r) {
+          const float val = point_feats.at(r, ch);
+          if (val > best) {
+            best = val;
+            best_row = r;
+          }
+        }
+        pooled.at(p, ch) = best;
+        if (argmax_out != nullptr) argmax_out[p * c + ch] = best_row;
+      }
+    }
+  });
+  return pooled;
+}
+
+void PointPillars::scatter(const Pillars& pil, const Tensor& pooled,
+                           float* pseudo_plane) const {
+  // Pillar coords are unique (one bucket per occupied cell), so the writes
+  // are disjoint.
+  prof::Span scatter_span("pre.scatter");
+  const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
   const int c = cfg_.pfn_channels;
   const int g = cfg_.grid;
-
-  // Masked max over each pillar's valid points; remember winners for
-  // backward when requested. Pillars are independent (disjoint writes into
-  // pooled and the argmax table), so the pillar loop parallelises
-  // deterministically.
-  Tensor pooled({std::max<std::int64_t>(pillar_count, 1), c});
-  {
-    prof::Span pool_span("pfn.maxpool");
-    parallel::parallel_for(0, pillar_count, 64, [&](std::int64_t p0,
-                                                    std::int64_t p1) {
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const int v = pil.valid_counts[static_cast<std::size_t>(p)];
-        for (int ch = 0; ch < c; ++ch) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_row = p * maxp;
-          for (int i = 0; i < v; ++i) {
-            const float val = point_feats.at(p * maxp + i, ch);
-            if (val > best) {
-              best = val;
-              best_row = p * maxp + i;
-            }
-          }
-          pooled.at(p, ch) = best;
-          if (argmax_out != nullptr) argmax_out[p * c + ch] = best_row;
-        }
-      }
-    });
-  }
-
-  // Scatter pillar embeddings to the scene's pseudo-image plane. Pillar
-  // coords are unique (one bucket per occupied cell), so the writes are
-  // disjoint.
-  {
-    prof::Span scatter_span("pre.scatter");
-    parallel::parallel_for(0, pillar_count, 256, [&](std::int64_t p0,
-                                                     std::int64_t p1) {
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const auto [row, col] = pil.coords[static_cast<std::size_t>(p)];
-        for (int ch = 0; ch < c; ++ch)
-          pseudo_plane[(static_cast<std::int64_t>(ch) * g + row) * g + col] =
-              pooled.at(p, ch);
-      }
-    });
-  }
+  parallel::parallel_for(0, pillar_count, 256, [&](std::int64_t p0,
+                                                   std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const auto [row, col] = pil.coords[static_cast<std::size_t>(p)];
+      for (int ch = 0; ch < c; ++ch)
+        pseudo_plane[(static_cast<std::int64_t>(ch) * g + row) * g + col] =
+            pooled.at(p, ch);
+    }
+  });
 }
 
 void PointPillars::forward(const data::Scene& scene, ForwardState& state) {
@@ -253,14 +290,9 @@ void PointPillars::forward(const data::Scene& scene, ForwardState& state) {
   const auto pillar_count = static_cast<std::int64_t>(pil.coords.size());
   const int c = cfg_.pfn_channels;
 
-  // PFN: linear + relu on every (padded) point row.
-  auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
-  Tensor point_feats =
-      pfn_relu->forward(pfn_->forward(pil.features));  // (P*maxp, C)
-
   state.max_argmax.assign(static_cast<std::size_t>(pillar_count * c), 0);
   Tensor pseudo({1, c, cfg_.grid, cfg_.grid});
-  pfn_pool_scatter(pil, point_feats, state.max_argmax.data(), pseudo.data());
+  scatter(pil, pfn_embed(pil, state.max_argmax.data()), pseudo.data());
 
   // Backbone + FPN-style concat + head.
   const Tensor b1 = block_seq_[0].forward(pseudo);
@@ -285,14 +317,11 @@ std::vector<PointPillars::HeadOutput> PointPillars::forward_batch(
   // One PFN pass per scene: the packed pfn.linear quantizes its whole input
   // matrix with one activation scale, so a pass over several scenes' rows
   // would make each scene's embeddings depend on its batch mates.
-  auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
   Tensor pseudo({b_count, c, g, g});
   for (std::int64_t b = 0; b < b_count; ++b) {
     const Pillars& pil = *batch[static_cast<std::size_t>(b)];
     if (pil.features.dim(0) == 0) continue;
-    const Tensor point_feats = pfn_relu->forward(pfn_->forward(pil.features));
-    pfn_pool_scatter(pil, point_feats, /*argmax_out=*/nullptr,
-                     pseudo.data() + b * c * g * g);
+    scatter(pil, pfn_embed(pil), pseudo.data() + b * c * g * g);
   }
 
   // Backbone + FPN-style concat + head over the batched pseudo-image. Every
@@ -352,8 +381,7 @@ void PointPillars::backward(const ForwardState& state, const Tensor& grad_cls,
       grad_rows.at(winner, ch) += g;
     }
   }
-  auto* pfn_relu = static_cast<nn::Relu*>(find_layer("pfn.relu"));
-  pfn_->backward(pfn_relu->backward(grad_rows));
+  pfn_->backward(pfn_relu_->backward(grad_rows));
 }
 
 std::vector<eval::Box3D> PointPillars::decode(const Tensor& cls_logits,

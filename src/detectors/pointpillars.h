@@ -109,9 +109,14 @@ class PointPillars final : public Detector3D {
   // model exclusively.
 
   /// Per-scene pre-processing product (stage `pre.pillarize`).
+  /// Pillars are ordered by ascending (row, col); features holds only real
+  /// point rows, pillar-major, so pillar p owns the valid_counts[p] rows
+  /// that follow those of pillars 0..p-1. A pillar keeps its first
+  /// max_points_per_pillar points in scene order; points with a non-finite
+  /// field or outside the BEV range are dropped.
   struct Pillars {
-    Tensor features;                 ///< (P * max_pts, 9) padded point features
-    std::vector<int> valid_counts;   ///< points actually in each pillar
+    Tensor features;                 ///< (sum of valid_counts, 9) point features
+    std::vector<int> valid_counts;   ///< point rows of each pillar
     std::vector<std::pair<int, int>> coords;  ///< (row, col) per pillar
   };
 
@@ -135,6 +140,12 @@ class PointPillars final : public Detector3D {
   std::vector<HeadOutput> forward_batch(
       const std::vector<const Pillars*>& batch);
 
+  /// The pillar feature network inside stage 2: linear + ReLU over every
+  /// point row, then the max over each pillar's rows -> (P, pfn_channels)
+  /// pillar embeddings (one row when P == 0). `argmax_out`, when non-null,
+  /// receives the winning point row per (pillar, channel) for backward.
+  Tensor pfn_embed(const Pillars& pil, std::int64_t* argmax_out = nullptr);
+
   /// Stage 3: decode + NMS (stage `post.nms`). Pure.
   std::vector<eval::Box3D> decode(const Tensor& cls_logits,
                                   const Tensor& reg_out) const;
@@ -150,17 +161,16 @@ class PointPillars final : public Detector3D {
   void forward(const data::Scene& scene, ForwardState& state);
   void backward(const ForwardState& state, const Tensor& grad_cls,
                 const Tensor& grad_reg);
-  /// Shared PFN tail: masked max-pool over one scene's pillars (`point_feats`
-  /// holds that scene's PFN rows) followed by the scatter into that scene's
-  /// (C, G, G) pseudo-image plane. `argmax_out`, when non-null,
-  /// receives the per-(pillar, channel) winning row for backward.
-  void pfn_pool_scatter(const Pillars& pil, const Tensor& point_feats,
-                        std::int64_t* argmax_out, float* pseudo_plane) const;
+  /// Writes one scene's pillar embeddings into its (C, G, G) pseudo-image
+  /// plane at the pillar coords.
+  void scatter(const Pillars& pil, const Tensor& pooled,
+               float* pseudo_plane) const;
 
   PointPillarsConfig cfg_;
 
   // Layers (owned by Module::layers_; these are typed handles).
   nn::Linear* pfn_ = nullptr;
+  nn::Relu* pfn_relu_ = nullptr;
   std::vector<std::vector<nn::Layer*>> block_layers_;  ///< per block, in order
   std::vector<nn::Sequential> block_seq_;
   std::vector<nn::Sequential> up_seq_;

@@ -62,11 +62,15 @@ SmokeConfig SmokeConfig::full() {
 }
 
 Tensor Smoke::Stage::forward(const Tensor& x) const {
-  Tensor y = down_relu->forward(down_bn->forward(down_conv->forward(x)));
+  // BN and ReLU run in place over the conv outputs this stage owns.
+  Tensor y = down_conv->forward(x);
+  down_bn->forward_inplace_relu(y, *down_relu);
   for (const auto& u : units) {
-    Tensor t = u.bn->forward(u.conv->forward(y));
-    t.add_(y);               // residual add
-    y = u.relu->forward(t);  // post-add activation
+    Tensor t = u.conv->forward(y);
+    u.bn->forward_inplace(t);
+    t.add_(y);                   // residual add
+    u.relu->forward_inplace(t);  // post-add activation
+    y = std::move(t);
   }
   return y;
 }

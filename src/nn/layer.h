@@ -102,6 +102,12 @@ class Layer {
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& grad_out);
+  /// forward() over a tensor the caller owns and no longer needs: leaves
+  /// exactly forward(x)'s result in `x`. In eval mode, layers with an
+  /// in-place form (BatchNorm2d, ReLU) overwrite `x` without allocating;
+  /// every other layer, and every layer in training mode, runs
+  /// x = forward(x). Same prof span as forward().
+  void forward_inplace(Tensor& x);
   virtual LayerKind kind() const = 0;
 
   /// Trainable parameters (may be empty for stateless layers).
@@ -136,6 +142,14 @@ class Layer {
  protected:
   virtual Tensor do_forward(const Tensor& x) = 0;
   virtual Tensor do_backward(const Tensor& grad_out) = 0;
+  /// Eval-mode in-place hook: overwrite `x` with do_forward(x) and return
+  /// true, or return false (leaving `x` untouched) to take the copying path.
+  virtual bool do_forward_inplace(Tensor& x) {
+    (void)x;
+    return false;
+  }
+  /// The name forward spans carry: the layer name, else its kind.
+  std::string span_name() const;
 
   std::string name_;
   bool training_ = true;

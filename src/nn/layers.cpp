@@ -1,9 +1,12 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "parallel/thread_pool.h"
+#include "prof/prof.h"
 #include "tensor/ops.h"
 
 namespace upaq::nn {
@@ -12,6 +15,23 @@ namespace {
 // Minimum scalar ops before a layer loop is worth dispatching to the pool;
 // below this the single-chunk inline path runs (identical results).
 constexpr std::int64_t kLayerParallelGrain = 1 << 15;
+
+void check_bn_input(const Tensor& x, std::int64_t channels,
+                    const std::string& name) {
+  UPAQ_CHECK(x.rank() == 4 && x.dim(1) == channels,
+             name + ": BatchNorm2d shape mismatch for input " +
+                 shape_to_string(x.shape()));
+}
+
+/// The ReLU pass over a whole tensor, in place.
+void relu_pass(float slope, Tensor& t) {
+  float* p = t.data();
+  parallel::parallel_for(0, t.numel(), kLayerParallelGrain,
+                         [&](std::int64_t i0, std::int64_t i1) {
+                           for (std::int64_t i = i0; i < i1; ++i)
+                             p[i] = Relu::apply(p[i], slope);
+                         });
+}
 }  // namespace
 
 const char* layer_kind_name(LayerKind k) {
@@ -45,9 +65,7 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, Rng& rng, std::string name,
 }
 
 Tensor BatchNorm2d::do_forward(const Tensor& x) {
-  UPAQ_CHECK(x.rank() == 4 && x.dim(1) == channels_,
-             name_ + ": BatchNorm2d shape mismatch for input " +
-                 shape_to_string(x.shape()));
+  check_bn_input(x, channels_, name_);
   const std::int64_t n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
   const std::int64_t per_channel = n * h * w;
   Tensor out(x.shape());
@@ -97,26 +115,56 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
       parallel::parallel_for(0, c, 1, train_channels);
     }
   } else {
-    auto eval_channels = [&](std::int64_t c0, std::int64_t c1) {
-      for (std::int64_t ch = c0; ch < c1; ++ch) {
-        const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-        const float g = gamma_.value[ch], bta = beta_.value[ch];
-        const float mean = running_mean_[ch];
-        for (std::int64_t b = 0; b < n; ++b) {
-          const float* src = x.data() + (b * c + ch) * h * w;
-          float* dst = out.data() + (b * c + ch) * h * w;
-          for (std::int64_t i = 0; i < h * w; ++i)
-            dst[i] = g * (src[i] - mean) * inv_std + bta;
-        }
-      }
-    };
-    if (c * per_channel < kLayerParallelGrain) {
-      eval_channels(0, c);
-    } else {
-      parallel::parallel_for(0, c, 1, eval_channels);
-    }
+    eval_into(x, out.data(), nullptr);
   }
   return out;
+}
+
+void BatchNorm2d::eval_into(const Tensor& x, float* out,
+                            const Relu* relu) const {
+  const std::int64_t n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
+  const float slope = relu != nullptr ? relu->negative_slope() : 0.0f;
+  auto eval_channels = [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
+      const float g = gamma_.value[ch], bta = beta_.value[ch];
+      const float mean = running_mean_[ch];
+      const auto norm = [&](float v) { return g * (v - mean) * inv_std + bta; };
+      for (std::int64_t b = 0; b < n; ++b) {
+        const float* src = x.data() + (b * c + ch) * hw;
+        float* dst = out + (b * c + ch) * hw;
+        if (relu == nullptr) {
+          for (std::int64_t i = 0; i < hw; ++i) dst[i] = norm(src[i]);
+        } else {
+          for (std::int64_t i = 0; i < hw; ++i)
+            dst[i] = Relu::apply(norm(src[i]), slope);
+        }
+      }
+    }
+  };
+  if (c * n * hw < kLayerParallelGrain) {
+    eval_channels(0, c);
+  } else {
+    parallel::parallel_for(0, c, 1, eval_channels);
+  }
+}
+
+bool BatchNorm2d::do_forward_inplace(Tensor& x) {
+  check_bn_input(x, channels_, name_);
+  eval_into(x, x.data(), nullptr);
+  return true;
+}
+
+void BatchNorm2d::forward_inplace_relu(Tensor& x, Relu& relu) {
+  if (training_ || relu.training()) {
+    forward_inplace(x);
+    relu.forward_inplace(x);
+    return;
+  }
+  std::optional<prof::Span> span;
+  if (prof::enabled()) span.emplace(span_name(), shape_to_string(x.shape()));
+  check_bn_input(x, channels_, name_);
+  eval_into(x, x.data(), &relu);
 }
 
 Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
@@ -167,13 +215,13 @@ Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
 Tensor Relu::do_forward(const Tensor& x) {
   if (training_) input_cache_ = x;
   Tensor out = x;
-  float* p = out.data();
-  parallel::parallel_for(0, out.numel(), kLayerParallelGrain,
-                         [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i)
-                             if (p[i] < 0.0f) p[i] *= slope_;
-                         });
+  relu_pass(slope_, out);
   return out;
+}
+
+bool Relu::do_forward_inplace(Tensor& x) {
+  relu_pass(slope_, x);
+  return true;
 }
 
 Tensor Relu::do_backward(const Tensor& grad_out) {
@@ -250,13 +298,15 @@ Tensor Upsample::do_forward(const Tensor& x) {
   Tensor out({n, c, oh, ow});
   const float* src = x.data();
   float* dst = out.data();
-  for (std::int64_t bc = 0; bc < n * c; ++bc) {
-    const float* plane = src + bc * h * w;
-    float* oplane = dst + bc * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      const float* row = plane + (oy / factor_) * w;
-      for (std::int64_t ox = 0; ox < ow; ++ox) oplane[oy * ow + ox] = row[ox / factor_];
-    }
+  // Each input row widens once into its first output row, which is then
+  // copied to the factor - 1 rows below it: no per-element division.
+  for (std::int64_t row = 0; row < n * c * h; ++row) {
+    const float* in_row = src + row * w;
+    float* out_row = dst + row * factor_ * ow;
+    for (std::int64_t ix = 0; ix < w; ++ix)
+      std::fill(out_row + ix * factor_, out_row + (ix + 1) * factor_, in_row[ix]);
+    for (int r = 1; r < factor_; ++r)
+      std::copy(out_row, out_row + ow, out_row + r * ow);
   }
   return out;
 }

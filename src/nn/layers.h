@@ -2,10 +2,15 @@
 // MaxPool2d, nearest-neighbour Upsample, and Linear.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+
 #include "nn/layer.h"
 #include "tensor/rng.h"
 
 namespace upaq::nn {
+
+class Relu;
 
 /// Per-channel batch normalization over (N,H,W) with running statistics.
 class BatchNorm2d final : public Layer {
@@ -22,11 +27,22 @@ class BatchNorm2d final : public Layer {
   Tensor& running_var() { return running_var_; }
   std::int64_t channels() const { return channels_; }
 
+  /// The conv epilogue: forward_inplace(x) then relu.forward_inplace(x). With
+  /// both layers in eval mode it is one in-place pass over `x` with exactly
+  /// their per-element arithmetic, under one prof span named after this
+  /// layer (the ReLU emits none).
+  void forward_inplace_relu(Tensor& x, Relu& relu);
+
  protected:
   Tensor do_forward(const Tensor& x) override;
   Tensor do_backward(const Tensor& grad_out) override;
+  bool do_forward_inplace(Tensor& x) override;
 
  private:
+  /// Eval-mode normalization of `x` into `out` (which may be x's own data),
+  /// followed by the ReLU select when `relu` is non-null.
+  void eval_into(const Tensor& x, float* out, const Relu* relu) const;
+
   std::int64_t channels_;
   float momentum_, eps_;
   Parameter gamma_, beta_;
@@ -49,9 +65,21 @@ class Relu final : public Layer {
   }
   float negative_slope() const { return slope_; }
 
+  /// The activation of one value, v < 0 ? v * slope : v, shared by the
+  /// standalone pass and BatchNorm2d's fused epilogue. Spelled as a bit
+  /// select because GCC turns the ternary back into a data-dependent branch,
+  /// which mispredicts on half the elements of a conv output.
+  static float apply(float v, float slope) {
+    const float scaled = v * slope;
+    const std::uint32_t take = 0u - static_cast<std::uint32_t>(v < 0.0f);
+    return std::bit_cast<float>((std::bit_cast<std::uint32_t>(scaled) & take) |
+                                (std::bit_cast<std::uint32_t>(v) & ~take));
+  }
+
  protected:
   Tensor do_forward(const Tensor& x) override;
   Tensor do_backward(const Tensor& grad_out) override;
+  bool do_forward_inplace(Tensor& x) override;
 
  private:
   float slope_;

@@ -72,8 +72,22 @@ void Module::load_state_dict(const std::map<std::string, Tensor>& state) {
 }
 
 Tensor Sequential::forward(const Tensor& x) const {
-  Tensor cur = x;
-  for (auto* l : chain_) cur = l->forward(cur);
+  if (chain_.empty()) return x;
+  // The first layer reads the caller's tensor; every later one runs over the
+  // chain's own intermediate, so eval-mode BN and ReLU overwrite it in place
+  // and a BN followed by a ReLU runs as one fused pass.
+  Tensor cur = chain_.front()->forward(x);
+  for (std::size_t i = 1; i < chain_.size(); ++i) {
+    auto* bn = dynamic_cast<BatchNorm2d*>(chain_[i]);
+    auto* relu = i + 1 < chain_.size() ? dynamic_cast<Relu*>(chain_[i + 1])
+                                       : nullptr;
+    if (bn != nullptr && relu != nullptr) {
+      bn->forward_inplace_relu(cur, *relu);
+      ++i;
+    } else {
+      chain_[i]->forward_inplace(cur);
+    }
+  }
   return cur;
 }
 

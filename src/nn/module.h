@@ -57,7 +57,8 @@ class Module {
 };
 
 /// A chain of layers; forward feeds each output to the next layer, backward
-/// runs the chain in reverse.
+/// runs the chain in reverse. forward never mutates its input: only the
+/// chain's own intermediates are overwritten in place (eval BN and ReLU).
 class Sequential {
  public:
   Sequential() = default;

@@ -281,10 +281,12 @@ void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
 // another (a scalar tail), which would break the bitwise equivalence between
 // the segment and panel paths. The empty asm pins the product to a register
 // between the two operations, making contraction impossible everywhere, so
-// every integer path requantizes with the exact same two roundings.
+// every integer path requantizes with the exact same two roundings. The "v"
+// constraint (any SSE/AVX register, zmm included) also holds the AVX-512
+// segment block's __m512 products, which "x" cannot.
 #if defined(__GNUC__) || defined(__clang__)
 #if defined(__x86_64__) || defined(__i386__)
-#define UPAQ_NO_CONTRACT(v) asm("" : "+x"(v))
+#define UPAQ_NO_CONTRACT(v) asm("" : "+v"(v))
 #else
 #define UPAQ_NO_CONTRACT(v) asm("" : "+g"(v))
 #endif
@@ -445,6 +447,89 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
   _mm256_storeu_ps(yb + 8, y1);
 }
 
+#if defined(__AVX512BW__)
+// GCC 12's AVX-512 intrinsic headers seed some conversions from a
+// deliberately undefined register, which -Wmaybe-uninitialized misreports.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+/// One (row, 64-column) output block: s8_row_block16's arithmetic over four
+/// zmm float accumulators, so each entry pair's setup (sign mask, |w| bytes)
+/// and each segment's scale broadcast and requantize serve 64 columns. HCK
+/// keeps 2 taps per kernel with a per-kernel scale, so nearly every segment
+/// is a single pair and that setup is most of the 16-column block's work.
+///
+/// AVX-512BW has no vpsignb: each activation byte is negated where its
+/// pair's weight is negative as (x ^ m) - m with m = 0xFF, which is exact
+/// because activation codes never reach -128. Zero weights keep their byte
+/// (sign_epi8 would zero it) but multiply by |w| = 0 either way.
+///
+/// unpack{lo,hi}_epi8 interleave the two activation rows within each 128-bit
+/// lane, so the accumulators hold a fixed in-lane column permutation:
+///   acc[0] = cols 0-7,16-23   acc[1] = cols 32-39,48-55
+///   acc[2] = cols 8-15,24-31  acc[3] = cols 40-47,56-63
+/// Every lane still owns one output column and sees the same bias, integer
+/// sums and mul-then-add sequence, so the permutation is undone by one
+/// 128-bit-lane shuffle per store and results equal s8_row_block16's bitwise.
+void s8_row_block64(const std::int32_t* cols, const std::int32_t* codes,
+                    const QSegment* segs, std::int64_t s0, std::int64_t s1,
+                    const std::int8_t* qx, float sx, std::int64_t n,
+                    std::int64_t j0, float bias_v, float* yb) {
+  __m512 y[4];
+  for (auto& v : y) v = _mm512_set1_ps(bias_v);
+  for (std::int64_t si = s0; si < s1; ++si) {
+    const QSegment& seg = segs[si];
+    __m512i acc[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512(), _mm512_setzero_si512()};
+    for (std::int64_t e = seg.begin; e < seg.end; e += 2) {
+      const std::int32_t w0 = codes[e];
+      const bool has2 = e + 1 < seg.end;
+      const std::int32_t w1 = has2 ? codes[e + 1] : 0;
+      const __m512i r0 = _mm512_loadu_si512(
+          qx + static_cast<std::int64_t>(cols[e]) * n + j0);
+      const __m512i r1 =
+          has2 ? _mm512_loadu_si512(
+                     qx + static_cast<std::int64_t>(cols[e + 1]) * n + j0)
+               : _mm512_setzero_si512();
+      const __m512i neg = _mm512_set1_epi16(
+          static_cast<short>(((w1 < 0 ? 0xFF : 0) << 8) | (w0 < 0 ? 0xFF : 0)));
+      const __m512i uabs = _mm512_set1_epi16(static_cast<short>(
+          ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
+      const __m512i x_lo = _mm512_sub_epi8(
+          _mm512_xor_si512(_mm512_unpacklo_epi8(r0, r1), neg), neg);
+      const __m512i x_hi = _mm512_sub_epi8(
+          _mm512_xor_si512(_mm512_unpackhi_epi8(r0, r1), neg), neg);
+      const __m512i p_lo = _mm512_maddubs_epi16(uabs, x_lo);
+      const __m512i p_hi = _mm512_maddubs_epi16(uabs, x_hi);
+      acc[0] = _mm512_add_epi32(
+          acc[0], _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_lo)));
+      acc[1] = _mm512_add_epi32(
+          acc[1], _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_lo, 1)));
+      acc[2] = _mm512_add_epi32(
+          acc[2], _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_hi)));
+      acc[3] = _mm512_add_epi32(
+          acc[3], _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_hi, 1)));
+    }
+    const __m512 mv = _mm512_set1_ps(seg.scale * sx);
+    for (int q = 0; q < 4; ++q) {
+      __m512 t = _mm512_mul_ps(mv, _mm512_cvtepi32_ps(acc[q]));
+      UPAQ_NO_CONTRACT(t);
+      y[q] = _mm512_add_ps(y[q], t);
+    }
+  }
+  // Lanes 0-1 of y[0] then y[2] hold cols 0-15, their lanes 2-3 cols 16-31;
+  // y[1] and y[3] likewise hold cols 32-63.
+  _mm512_storeu_ps(yb, _mm512_shuffle_f32x4(y[0], y[2], 0x44));
+  _mm512_storeu_ps(yb + 16, _mm512_shuffle_f32x4(y[0], y[2], 0xEE));
+  _mm512_storeu_ps(yb + 32, _mm512_shuffle_f32x4(y[1], y[3], 0x44));
+  _mm512_storeu_ps(yb + 48, _mm512_shuffle_f32x4(y[1], y[3], 0xEE));
+}
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif  // __AVX512BW__
+
 }  // namespace
 #endif  // UPAQ_S8_VEC && __AVX2__
 
@@ -461,6 +546,11 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
         float* yrow = y + r * n;
         const float bv = bias != nullptr ? bias[r] : 0.0f;
         std::int64_t j0 = 0;
+#if defined(__AVX512BW__)
+        for (; j0 + 64 <= n; j0 += 64)
+          s8_row_block64(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
+                         sx, n, j0, bv, yrow + j0);
+#endif
         for (; j0 + 16 <= n; j0 += 16)
           s8_row_block16(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
                          sx, n, j0, bv, yrow + j0);

@@ -122,8 +122,10 @@ struct QSegment {
 /// `codes_fit_i8` (every |code| <= 127, i.e. weight bits <= 8) unlocks the
 /// vpmaddubsw 2-MACs/lane sub-byte kernel: entry pairs multiply as
 /// |w| x sign-transferred activations with exact int16 pair sums
-/// (2 * 127^2 < 2^15) widened to int32, and a 16-column output block stays
-/// in registers across all of a row's segments. Integer sums are exact either
+/// (2 * 127^2 < 2^15) widened to int32, and a 16-column output block (64
+/// columns where the kernel TU targets AVX-512BW; 16-column blocks then take
+/// the n mod 64 tails) stays in registers across all of a row's segments.
+/// Integer sums are exact either
 /// way, and the per-element float sequence is unchanged, so the flag can
 /// never alter results — only speed.
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,

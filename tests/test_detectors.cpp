@@ -3,11 +3,15 @@
 // behaviour — all on tiny configs so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "detectors/pointpillars.h"
 #include "detectors/smoke.h"
 #include "detectors/specs.h"
+#include "qnn/qlayers.h"
 #include "train/optimizer.h"
 
 namespace upaq {
@@ -85,6 +89,141 @@ TEST(PointPillars, DetectProducesValidBoxes) {
     EXPECT_LE(d.score, 1.0f);
   }
   EXPECT_LE(static_cast<int>(dets.size()), pp.config().max_detections);
+}
+
+/// simple_scene() plus 20 points stacked into one cell, so at least one
+/// pillar overflows max_points_per_pillar.
+data::Scene crowded_scene() {
+  data::Scene scene = simple_scene();
+  for (int i = 0; i < 20; ++i)
+    scene.points.push_back({10.2f + 0.01f * static_cast<float>(i), 3.3f,
+                            0.1f * static_cast<float>(i), 0.5f});
+  return scene;
+}
+
+void expect_same_boxes(const std::vector<eval::Box3D>& a,
+                       const std::vector<eval::Box3D>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (auto f : {&eval::Box3D::x, &eval::Box3D::y, &eval::Box3D::z,
+                   &eval::Box3D::length, &eval::Box3D::width,
+                   &eval::Box3D::height, &eval::Box3D::yaw,
+                   &eval::Box3D::score})
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i].*f),
+                std::bit_cast<std::uint32_t>(b[i].*f))
+          << what << ": box " << i;
+    ASSERT_EQ(a[i].label, b[i].label) << what;
+  }
+}
+
+TEST(PointPillars, PillarizeEmitsOnlyRealPointRowsInCellOrder) {
+  Rng rng(2);
+  detectors::PointPillars pp(tiny_pp(), rng);
+  const auto pil = pp.pillarize(crowded_scene());
+  const int maxp = pp.config().max_points_per_pillar;
+  ASSERT_FALSE(pil.coords.empty());
+  ASSERT_EQ(pil.valid_counts.size(), pil.coords.size());
+  std::int64_t rows = 0;
+  bool capped = false;
+  for (std::size_t p = 0; p < pil.coords.size(); ++p) {
+    const int v = pil.valid_counts[p];
+    EXPECT_GE(v, 1);
+    EXPECT_LE(v, maxp);
+    capped = capped || v == maxp;
+    rows += v;
+    if (p > 0) {
+      EXPECT_LT(pil.coords[p - 1], pil.coords[p]) << "pillar " << p;
+    }
+  }
+  EXPECT_TRUE(capped) << "no pillar reached max_points_per_pillar";
+  EXPECT_EQ(pil.features.dim(0), rows);
+  EXPECT_EQ(pil.features.dim(1), 9);
+}
+
+TEST(PointPillars, PfnEmbeddingsMatchPaddedLayoutReference) {
+  // The compact PFN against the padded layout it replaced: every pillar owns
+  // max_points_per_pillar rows, zero past its valid points, and the max runs
+  // over the valid ones only. Float and packed pfn.linear alike — the packed
+  // layer's per-tensor activation scale ignores the zero rows.
+  for (const bool packed : {false, true}) {
+    Rng rng(5);
+    detectors::PointPillars pp(tiny_pp(), rng);
+    pp.set_training(false);
+    auto* linear = pp.find_layer("pfn.linear");
+    auto* relu = pp.find_layer("pfn.relu");
+    if (packed) {
+      ASSERT_TRUE(qnn::lower_layer(*linear, qnn::LowerSpec{}));
+    }
+    const auto pil = pp.pillarize(crowded_scene());
+    const auto pillars = static_cast<std::int64_t>(pil.coords.size());
+    const int maxp = pp.config().max_points_per_pillar;
+    const int c = pp.config().pfn_channels;
+
+    std::vector<std::int64_t> argmax(static_cast<std::size_t>(pillars * c));
+    const Tensor pooled = pp.pfn_embed(pil, argmax.data());
+
+    Tensor padded({pillars * maxp, 9});
+    std::vector<std::int64_t> first_row;
+    for (std::int64_t p = 0, r = 0; p < pillars; ++p) {
+      first_row.push_back(r);
+      for (int i = 0; i < pil.valid_counts[static_cast<std::size_t>(p)]; ++i, ++r)
+        for (int f = 0; f < 9; ++f)
+          padded.at(p * maxp + i, f) = pil.features.at(r, f);
+    }
+    const Tensor feats = relu->forward(linear->forward(padded));
+    for (std::int64_t p = 0; p < pillars; ++p) {
+      for (int ch = 0; ch < c; ++ch) {
+        float best = -std::numeric_limits<float>::infinity();
+        int best_i = 0;
+        for (int i = 0; i < pil.valid_counts[static_cast<std::size_t>(p)]; ++i)
+          if (feats.at(p * maxp + i, ch) > best) {
+            best = feats.at(p * maxp + i, ch);
+            best_i = i;
+          }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pooled.at(p, ch)),
+                  std::bit_cast<std::uint32_t>(best))
+            << (packed ? "packed" : "float") << " pillar " << p << " ch " << ch;
+        ASSERT_EQ(argmax[static_cast<std::size_t>(p * c + ch)],
+                  first_row[static_cast<std::size_t>(p)] + best_i);
+      }
+    }
+  }
+}
+
+TEST(PointPillars, NonFinitePointsAreDropped) {
+  // A point with any non-finite field must leave the detections exactly as
+  // if it were absent. Each goes in front of a full pillar's points, where a
+  // kept one would displace a real point and poison the pillar mean. NaN x
+  // used to reach an undefined float-to-int cast.
+  auto cfg = tiny_pp();
+  cfg.score_threshold = 0.08f;  // the untrained head still emits boxes
+  Rng rng(7);
+  detectors::PointPillars pp(cfg, rng);
+  const data::Scene clean = crowded_scene();
+  const auto want = pp.detect(clean);
+  ASSERT_FALSE(want.empty());
+  const auto want_pil = pp.pillarize(clean);
+
+  // Each bad point sits in the crowded cell, ahead of every real point.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const data::LidarPoint bad[] = {
+      {nan, 3.3f, 0.2f, 0.5f},    // NaN x
+      {10.2f, 3.3f, nan, 0.5f},   // NaN z
+      {10.2f, 3.3f, 0.2f, nan},   // NaN intensity
+      {10.2f, nan, 0.2f, 0.5f},   // NaN y
+      {std::numeric_limits<float>::infinity(), 3.3f, 0.2f, 0.5f},
+  };
+  for (const auto& b : bad) {
+    data::Scene dirty = clean;
+    dirty.points.insert(dirty.points.begin(), b);
+    const auto pil = pp.pillarize(dirty);
+    ASSERT_EQ(pil.coords, want_pil.coords);
+    ASSERT_EQ(pil.valid_counts, want_pil.valid_counts);
+    for (std::int64_t i = 0; i < pil.features.numel(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(pil.features[i]),
+                std::bit_cast<std::uint32_t>(want_pil.features[i]));
+    expect_same_boxes(pp.detect(dirty), want, "non-finite point");
+  }
 }
 
 TEST(PointPillars, LossIsFiniteAndProducesGradients) {

@@ -1,11 +1,16 @@
 // NN framework tests: analytic backward passes are validated against finite
 // differences for every layer, plus module/state-dict behaviour, mask
-// semantics, and the concat/split helpers.
+// semantics, the concat/split helpers, and the in-place eval epilogue
+// (bitwise equal to layer-by-layer forward; training untouched).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <set>
 
 #include "nn/module.h"
+#include "prof/prof.h"
 #include "test_util.h"
 
 namespace upaq {
@@ -294,6 +299,143 @@ TEST(Sequential, ChainsForwardAndBackward) {
   Tensor g = seq.backward(Tensor::ones(y.shape()));
   EXPECT_EQ(g.shape(), x.shape());
   EXPECT_GT(conv->weight().grad.abs_max(), 0.0f);
+}
+
+void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  for (std::int64_t i = 0; i < a.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << what << " diverges at flat index " << i;
+}
+
+/// A chain with every shape Sequential::forward treats specially: a
+/// BN + ReLU pair (fused in eval), BN + LeakyReLU, a lone ReLU after a conv,
+/// a lone BN, and a non-in-place layer (Upsample) in the middle. BN
+/// statistics are randomized so outputs straddle zero.
+struct EpilogueNet {
+  nn::Module m;
+  nn::Sequential seq;
+
+  explicit EpilogueNet(std::uint64_t seed) {
+    Rng rng(seed);
+    auto bn = [&](std::int64_t c, const char* name) {
+      auto* b = m.add<nn::BatchNorm2d>(c, rng, name);
+      b->gamma().value = Tensor::uniform({c}, rng, 0.5f, 1.5f);
+      b->beta().value = Tensor::uniform({c}, rng, -0.5f, 0.5f);
+      b->running_mean() = Tensor::uniform({c}, rng, -0.3f, 0.3f);
+      b->running_var() = Tensor::uniform({c}, rng, 0.5f, 2.0f);
+      return b;
+    };
+    seq.then(m.add<nn::Conv2d>(3, 4, 3, 1, 1, false, rng, "c0"))
+        .then(bn(4, "bn0"))
+        .then(m.add<nn::Relu>("r0"))
+        .then(m.add<nn::Conv2d>(4, 5, 3, 2, 1, true, rng, "c1"))
+        .then(bn(5, "bn1"))
+        .then(m.add<nn::Relu>("r1", 0.1f))
+        .then(m.add<nn::Upsample>(2, "up"))
+        .then(m.add<nn::Conv2d>(5, 6, 1, 1, 0, false, rng, "c2"))
+        .then(m.add<nn::Relu>("r2"))
+        .then(m.add<nn::Conv2d>(6, 6, 3, 1, 1, false, rng, "c3"))
+        .then(bn(6, "bn3"));
+  }
+};
+
+TEST(Sequential, EvalEpilogueMatchesLayerByLayerAndKeepsInput) {
+  EpilogueNet net(31);
+  net.m.set_training(false);
+  Rng rng(32);
+  const Tensor x = Tensor::uniform({2, 3, 10, 12}, rng, -2.0f, 2.0f);
+  const Tensor x_before = x;
+  Tensor want = x;
+  for (auto* l : net.seq.chain()) want = l->forward(want);
+  const Tensor got = net.seq.forward(x);
+  expect_bitwise_equal(got, want, "eval Sequential vs layer-by-layer");
+  expect_bitwise_equal(x, x_before, "caller's input");
+
+  // Traced: the fused pairs emit one span under the BN's name, nothing for
+  // their ReLUs; every other layer keeps its own span.
+  prof::set_enabled(true);
+  prof::reset();
+  const Tensor traced = net.seq.forward(x);
+  std::set<std::string> names;
+  for (const auto& e : prof::snapshot_events()) names.insert(e.name);
+  prof::set_enabled(false);
+  prof::reset();
+  expect_bitwise_equal(traced, want, "traced eval Sequential");
+  for (const char* n : {"c0", "bn0", "c1", "bn1", "up", "c2", "r2", "c3", "bn3"})
+    EXPECT_TRUE(names.count(n)) << "missing span " << n;
+  EXPECT_FALSE(names.count("r0"));
+  EXPECT_FALSE(names.count("r1"));
+}
+
+TEST(Sequential, TrainingStepMatchesLayerByLayer) {
+  EpilogueNet a(41), b(41);
+  a.m.set_training(true);
+  b.m.set_training(true);
+  Rng rng(42);
+  const Tensor x = Tensor::uniform({2, 3, 10, 12}, rng, -2.0f, 2.0f);
+
+  const Tensor ya = a.seq.forward(x);
+  Tensor yb = x;
+  for (auto* l : b.seq.chain()) yb = l->forward(yb);
+  expect_bitwise_equal(ya, yb, "training forward");
+
+  const Tensor g = Tensor::uniform(ya.shape(), rng, -1.0f, 1.0f);
+  const Tensor ga = a.seq.backward(g);
+  Tensor gb = g;
+  for (auto it = b.seq.chain().rbegin(); it != b.seq.chain().rend(); ++it)
+    gb = (*it)->backward(gb);
+  expect_bitwise_equal(ga, gb, "input gradient");
+  const auto sa = a.m.state_dict();
+  const auto sb = b.m.state_dict();
+  for (const auto& [name, t] : sa)
+    expect_bitwise_equal(t, sb.at(name), name.c_str());  // running stats too
+  const auto pa = a.m.parameters();
+  const auto pb = b.m.parameters();
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    expect_bitwise_equal(pa[i]->grad, pb[i]->grad, pa[i]->name.c_str());
+}
+
+TEST(Relu, InPlaceSelectMatchesForwardOnSpecialValues) {
+  // Negative inputs scale by the slope (so ReLU maps them to -0.0 and -inf
+  // to NaN, exactly as the multiply always did); NaN and -0.0 pass through.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x(Shape{1, 1, 2, 4},
+           std::vector<float>{-2.0f, -0.0f, 0.0f, 3.0f, -inf, inf, nan, -1e-30f});
+  for (float slope : {0.0f, 0.1f}) {
+    nn::Relu relu("r", slope);
+    relu.set_training(false);
+    const Tensor want = relu.forward(x);
+    Tensor got = x;
+    relu.forward_inplace(got);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const float ref = x[i] < 0.0f ? x[i] * slope : x[i];
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(want[i]),
+                std::bit_cast<std::uint32_t>(ref))
+          << "slope " << slope << " index " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(ref))
+          << "slope " << slope << " index " << i;
+    }
+  }
+}
+
+TEST(Upsample, RowReplicationMatchesIndexFormula) {
+  Rng rng(16);
+  const Tensor x = Tensor::uniform({2, 3, 3, 5}, rng);
+  for (int f : {1, 2, 3}) {
+    nn::Upsample up(f, "u");
+    const Tensor y = up.forward(x);
+    ASSERT_EQ(y.shape(), (Shape{2, 3, 3 * f, 5 * f}));
+    for (std::int64_t n = 0; n < 2; ++n)
+      for (std::int64_t c = 0; c < 3; ++c)
+        for (std::int64_t oy = 0; oy < 3 * f; ++oy)
+          for (std::int64_t ox = 0; ox < 5 * f; ++ox)
+            ASSERT_EQ(y.at(n, c, oy, ox), x.at(n, c, oy / f, ox / f))
+                << "factor " << f;
+  }
 }
 
 TEST(Module, ParameterCountAndZeroGrad) {

@@ -11,6 +11,8 @@
 //     codes included);
 //   - the packed conv engine on a pattern-pruned strided/padded conv, panel
 //     vs segment;
+//   - the codes_fit_i8 segment blocks (64- and 16-column) vs the generic
+//     segment path, bitwise, around every block edge at 1 and 4 threads;
 //   - 1-thread vs 4-thread bitwise determinism of the panel kernel;
 //   - the steady-state zero-allocation contract for panel scratch;
 //   - the qgemm_macs counter (surviving entries x columns, both paths).
@@ -246,6 +248,71 @@ TEST(QgemmKernel, ThreadCountInvariantBitwise) {
                                ? "panel thread-count divergence"
                                : "segment thread-count divergence");
     }
+  }
+}
+
+TEST(QgemmKernel, SegmentI8BlocksMatchGenericPathBitwise) {
+  // s8_gemm_segments' codes_fit_i8 path (64-column AVX-512 blocks where the
+  // ISA has them, 16-column AVX2 blocks, fused scalar-order tails) against
+  // the generic int32 path on the same entry lists. Widths straddle every
+  // block edge; segment lengths 1..5 cover lone entries, odd pair tails and
+  // multi-pair segments; codes and activations include +/-127, the int16
+  // pair-sum extreme (2 * 127^2). Both thread counts must agree too.
+  Rng rng(2024);
+  const std::int64_t rows = 9, k = 40;
+  std::vector<std::int32_t> cols, codes;
+  std::vector<gemm::QSegment> segs;
+  std::vector<std::int64_t> row_segs{0};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t len = 1; len <= 5; ++len) {
+      gemm::QSegment seg;
+      seg.scale = rng.uniform(0.01f, 0.2f);
+      seg.begin = static_cast<std::int64_t>(codes.size());
+      for (std::int64_t e = 0; e < len; ++e) {
+        // Distinct ascending columns per segment; rows 0 and 1 pin the
+        // code extremes, the rest draw from the full 8-bit range.
+        cols.push_back(static_cast<std::int32_t>((r + 7 * len + 3 * e) % k));
+        const std::int32_t code =
+            r == 0 ? 127
+            : r == 1 ? (e % 2 == 0 ? -127 : 127)
+                     : static_cast<std::int32_t>(rng.uniform(-127.0f, 127.99f));
+        codes.push_back(code);
+      }
+      seg.end = static_cast<std::int64_t>(codes.size());
+      segs.push_back(seg);
+    }
+    row_segs.push_back(static_cast<std::int64_t>(segs.size()));
+  }
+  std::vector<float> bias(static_cast<std::size_t>(rows));
+  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
+  const float sx = 0.0173f;
+
+  for (std::int64_t n : {16, 31, 32, 63, 64, 65, 80, 127, 128, 192, 1024}) {
+    std::vector<std::int8_t> qx(static_cast<std::size_t>(k * n));
+    for (std::size_t i = 0; i < qx.size(); ++i) {
+      // Every 5th code sits at an extreme so the +/-127 x +/-127 products
+      // land in every block position.
+      qx[i] = i % 5 == 0 ? static_cast<std::int8_t>(i % 2 == 0 ? 127 : -127)
+                         : static_cast<std::int8_t>(
+                               rng.uniform(-127.0f, 127.99f));
+    }
+    std::vector<Tensor> outs;
+    for (int threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      for (bool fit : {false, true}) {
+        Tensor y({rows, n});
+        gemm::s8_gemm_segments(cols.data(), codes.data(), segs.data(),
+                               row_segs.data(), rows, k, qx.data(), sx, n,
+                               bias.data(), y.data(), fit);
+        outs.push_back(std::move(y));
+      }
+    }
+    parallel::set_thread_count(1);
+    char what[96];
+    std::snprintf(what, sizeof(what), "i8 segment blocks vs generic n=%lld",
+                  static_cast<long long>(n));
+    for (std::size_t i = 1; i < outs.size(); ++i)
+      expect_bitwise_equal(outs[0], outs[i], what);
   }
 }
 
