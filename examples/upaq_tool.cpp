@@ -19,9 +19,6 @@
 //   upaq_tool metrics [--scenes N] [--rate HZ] [--seed S] [--json]
 //                     [--out FILE] [--check]
 //
-//   upaq_tool tune [--model pointpillars|smoke] [--preset hck|lck]
-//                  [--reps R] [--json]
-//
 // The default mode trains (or loads) the chosen detector, compresses it with
 // the requested configuration, optionally fine-tunes, and prints the
 // accuracy / compression / deployment-cost summary. Everything the Table-2
@@ -46,12 +43,7 @@
 // snapshot: Prometheus text exposition by default, the JSON form with
 // --json. --check self-validates the exposition (the CI metrics smoke).
 //
-// `tune` compresses the chosen detector, runs the per-layer kernel
-// auto-tuner (fp32 blocked vs entry-skip segment vs int8 panel, timed on
-// the real weights), and prints each layer's candidate timings and the
-// pinned winner.
-//
-// `--json` on profile / serve / scenarios / tune switches stdout to a single
+// `--json` on profile / serve / scenarios switches stdout to a single
 // JSON document (the human tables go away), with the obs snapshot embedded.
 #include <chrono>
 #include <cstdio>
@@ -97,10 +89,8 @@ using namespace upaq;
                "          [--families a,b,...] [--margin X] [--out FILE]\n"
                "          [--fp32-only] [--cache DIR] [--json]\n"
                "       %s metrics [--scenes N] [--rate HZ] [--seed S]\n"
-               "          [--json] [--out FILE] [--check]\n"
-               "       %s tune [--model pointpillars|smoke] [--preset hck|lck]\n"
-               "          [--reps R] [--json]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0);
+               "          [--json] [--out FILE] [--check]\n",
+               argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
@@ -577,132 +567,6 @@ int run_metrics(int argc, char** argv) {
   return 0;
 }
 
-/// `upaq_tool tune`: compress the chosen detector, run one calibration
-/// detect() so every conv has its real output geometry on record, then race
-/// the kernel candidates per layer and show what the auto-tuner pins.
-int run_tune(int argc, char** argv) {
-  std::string model_name = "pointpillars";
-  core::UpaqConfig cfg = core::UpaqConfig::hck();
-  int reps = 5;
-  bool json_out = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--model") {
-      model_name = next();
-    } else if (arg == "--preset") {
-      const std::string preset = next();
-      if (preset == "hck")
-        cfg = core::UpaqConfig::hck();
-      else if (preset == "lck")
-        cfg = core::UpaqConfig::lck();
-      else
-        usage(argv[0]);
-    } else if (arg == "--reps") {
-      reps = std::atoi(next());
-    } else if (arg == "--json") {
-      json_out = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  const bool is_pp = model_name == "pointpillars";
-  if (!is_pp && model_name != "smoke") usage(argv[0]);
-  if (reps < 1) usage(argv[0]);
-
-  Rng rng(4242);
-  std::unique_ptr<detectors::Detector3D> model;
-  if (is_pp)
-    model = std::make_unique<detectors::PointPillars>(
-        detectors::PointPillarsConfig::scaled(), rng);
-  else
-    model = std::make_unique<detectors::Smoke>(detectors::SmokeConfig::scaled(),
-                                               rng);
-  core::UpaqCompressor compressor(cfg);
-  auto result = compressor.compress(*model);
-  model->set_training(false);
-
-  // One calibration pass: each conv records its output geometry, so the
-  // tuner times candidates at the layer's real column count.
-  Rng srng(99);
-  data::SceneGenerator gen;
-  (void)model->detect(gen.sample(srng));
-
-  qnn::TuneOptions opt;
-  opt.reps = reps;
-  core::TuneReport report;
-  const auto t0 = std::chrono::steady_clock::now();
-  const int lowered =
-      core::lower_quantized_tuned(*model, result.plan, /*act_bits=*/8, opt,
-                                  &report);
-  const double tune_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-
-  if (json_out) {
-    std::printf("{\"model\": \"%s\", \"reps\": %d, \"lowered\": %d, "
-                "\"tune_ms\": %.4f,\n \"layers\": [\n",
-                model->model_name(), reps, lowered, tune_ms);
-    for (std::size_t i = 0; i < report.layers.size(); ++i) {
-      const auto& l = report.layers[i];
-      // The plan explains the density rule's pick on this layer: the
-      // pruning pattern's key and the fraction it zeroed.
-      const core::LayerState* st = core::find_state(result.plan, l.name);
-      std::printf("  {\"layer\": \"%s\", \"kernel\": \"%s\", "
-                  "\"lowered\": %s, \"pattern\": \"%s\", "
-                  "\"pruned_fraction\": %.4f, \"candidates\": [",
-                  l.name.c_str(), qnn::tuned_kernel_name(l.kernel),
-                  l.lowered ? "true" : "false",
-                  st != nullptr ? st->pattern.c_str() : "",
-                  st != nullptr ? st->sparsity : 0.0);
-      for (std::size_t c = 0; c < l.timings.size(); ++c)
-        std::printf("%s{\"kernel\": \"%s\", \"ns\": %llu}",
-                    c ? ", " : "", qnn::tuned_kernel_name(l.timings[c].kernel),
-                    static_cast<unsigned long long>(l.timings[c].ns));
-      std::printf("]}%s\n", i + 1 < report.layers.size() ? "," : "");
-    }
-    std::printf(" ]}\n");
-  } else {
-    std::printf("%s %s auto-tune (%d reps, best-of kept): %d of %zu planned "
-                "layers lowered in %.1f ms\n\n",
-                model->model_name(), cfg.nonzeros == 2 ? "HCK" : "LCK", reps,
-                lowered, report.layers.size(), tune_ms);
-    std::printf("%-20s %-13s %12s %12s %12s  %s\n", "layer", "pinned",
-                "float us", "segment us", "int8 us", "pattern (pruned)");
-    for (const auto& l : report.layers) {
-      double us[3] = {0.0, 0.0, 0.0};
-      for (const auto& c : l.timings)
-        us[static_cast<int>(c.kernel)] = static_cast<double>(c.ns) * 1e-3;
-      auto cell = [&](int k, char* buf, std::size_t n) {
-        if (us[k] > 0.0)
-          std::snprintf(buf, n, "%12.1f", us[k]);
-        else
-          std::snprintf(buf, n, "%12s", "-");
-        return buf;
-      };
-      const core::LayerState* st = core::find_state(result.plan, l.name);
-      char b0[16], b1[16], b2[16], pat[64];
-      if (st != nullptr && !st->pattern.empty())
-        std::snprintf(pat, sizeof(pat), "%s (%.2f)", st->pattern.c_str(),
-                      st->sparsity);
-      else
-        std::snprintf(pat, sizeof(pat), "-");
-      std::printf("%-20s %-13s %s %s %s  %s\n", l.name.c_str(),
-                  qnn::tuned_kernel_name(l.kernel), cell(0, b0, sizeof(b0)),
-                  cell(1, b1, sizeof(b1)), cell(2, b2, sizeof(b2)), pat);
-    }
-    std::printf("\n(a \"float\" pin keeps that layer on the fp32 fake-quant "
-                "path; timings are GEMM-only at the layer's calibrated "
-                "column count; the pattern column shows the plan's pruning "
-                "pattern and pruned fraction)\n");
-  }
-  core::clear_engines(*model);
-  return 0;
-}
-
 std::vector<int> parse_bits(const std::string& arg) {
   std::vector<int> bits;
   std::size_t start = 0;
@@ -728,8 +592,6 @@ int main(int argc, char** argv) {
     return run_scenarios(argc, argv);
   if (argc > 1 && std::strcmp(argv[1], "metrics") == 0)
     return run_metrics(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "tune") == 0)
-    return run_tune(argc, argv);
 
   std::string model_name = "pointpillars";
   core::UpaqConfig cfg = core::UpaqConfig::lck();

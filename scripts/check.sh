@@ -43,11 +43,9 @@ UPAQ_THREADS=4 "$BUILD_DIR"/bench/bench_ablation_micro \
 # before the 64-column AVX-512 segment block, the in-place BN+ReLU epilogue
 # and the compact PFN (3 runs), and 1.79-1.97x after them (5 runs), on a
 # 4-vCPU AVX-512 host. It swings run to run from host noise alone (the
-# auto-tuner's in-context demotion only
-# guarantees the per-LAYER floor below; the whole-scene number also carries
-# the never-lowered layers and the non-GEMM pipeline). The ratchet exists to
-# catch "quantized slower than fp32 again" step-regressions, not to police
-# scheduler noise.
+# whole-scene number also carries the never-lowered layers and the non-GEMM
+# pipeline). The ratchet exists to catch "quantized slower than fp32 again"
+# step-regressions, not to police scheduler noise.
 PACKED_SPEEDUP_FLOOR="${UPAQ_SPEEDUP_FLOOR:-1.10}"
 # A contention burst on this shared box can sink one whole bench run's
 # whole-scene ratio below any useful floor (observed: 1.03 and 1.37 within
@@ -75,10 +73,13 @@ if ! awk -v s="$SPEEDUP" -v f="$PACKED_SPEEDUP_FLOOR" 'BEGIN { exit !(s >= f) }'
 fi
 echo "packed_vs_fp32_speedup=${SPEEDUP} (>= ${PACKED_SPEEDUP_FLOOR})"
 
-# Per-layer floor: the auto-tuner's final arbiter demotes any lowered layer
-# that fails to measure >= 1.0x against its own fp32 run in the validation
-# sweep, so every row left on the integer path must beat float. A value
-# below 1.0 here means the demotion machinery itself broke.
+# Per-layer floor: every planned layer is lowered, and the packed kernel it
+# runs comes from one static rule (int8 panel iff codes fit int8 and the mean
+# segment length reaches qnn::kPanelMinSegmentLength, else segment) — no
+# measurement sends a slow layer back to float. So every integer-path row
+# must beat its own fp32 run; a value below 1.0 here means the rule picked a
+# kernel that loses to the float path on a shipped layer (measured 1.21-1.64
+# in four runs on a 4-vCPU AVX-512 host, every layer on the segment kernel).
 INT_MIN="$(sed -n 's/.*"int_speedup_min": \([0-9.]*\).*/\1/p' bench_fig4.json)"
 if [ -z "$INT_MIN" ]; then
   echo "per-layer gate FAILED: int_speedup_min missing from bench_fig4.json"
@@ -90,22 +91,21 @@ if ! awk -v s="$INT_MIN" 'BEGIN { exit !(s >= 1.0) }'; then
 fi
 echo "int_speedup_min=${INT_MIN} (>= 1.0)"
 
-# 4-bit floor: geometric mean of the measured speedups over the surviving
-# bits<=4 rows, whichever kernel (segment or int8 panel) runs them. Quiet-box
-# runs measure ~1.2-1.35x; the floor keeps margin below that because the
-# probe demotes 4-bit rows under 1.10x but the final sweep can legitimately
-# land a survivor just above 1.0x on a contended host.
+# <= 4-bit floor: geometric mean of the measured speedups over the bits<=4
+# rows, whichever kernel (segment or int8 panel) runs them. Four runs on a
+# 4-vCPU AVX-512 host measured 1.97-2.21x; the floor keeps a wide margin
+# because a contended host can land single rows just above 1.0x.
 INT4_GEOMEAN_FLOOR="${UPAQ_INT4_GEOMEAN_FLOOR:-1.05}"
-INT4_GEO="$(sed -n 's/.*"int4_geomean_speedup": \([0-9.]*\).*/\1/p' bench_fig4.json)"
-if [ -z "$INT4_GEO" ]; then
-  echo "int4 gate FAILED: int4_geomean_speedup missing from bench_fig4.json"
+LE4_GEO="$(sed -n 's/.*"le4bit_geomean_speedup": \([0-9.]*\).*/\1/p' bench_fig4.json)"
+if [ -z "$LE4_GEO" ]; then
+  echo "<=4-bit gate FAILED: le4bit_geomean_speedup missing from bench_fig4.json"
   exit 1
 fi
-if ! awk -v s="$INT4_GEO" -v f="$INT4_GEOMEAN_FLOOR" 'BEGIN { exit !(s >= f) }'; then
-  echo "int4 gate FAILED: int4_geomean_speedup=${INT4_GEO} < floor ${INT4_GEOMEAN_FLOOR}"
+if ! awk -v s="$LE4_GEO" -v f="$INT4_GEOMEAN_FLOOR" 'BEGIN { exit !(s >= f) }'; then
+  echo "<=4-bit gate FAILED: le4bit_geomean_speedup=${LE4_GEO} < floor ${INT4_GEOMEAN_FLOOR}"
   exit 1
 fi
-echo "int4_geomean_speedup=${INT4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
+echo "le4bit_geomean_speedup=${LE4_GEO} (>= ${INT4_GEOMEAN_FLOOR})"
 
 # Serve smoke: bench_serve --smoke runs the hard equivalence gate first —
 # the streaming server draining a fixed scene stream must produce
@@ -160,15 +160,13 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # test_qgemm_kernel covers the interleaved int8 panel kernel the same way.
 # test_scenarios rides along too: the corruption passes (occlusion shadow
 # walk, dropout filter) and the suite's report assembly are fresh code.
-# test_autotune joins them: the tuner's cache-eviction / scripted-timer
-# paths and the PanelCache it builds through are raw-buffer code too.
 # test_prune rides along: its pattern/mask contracts produce the pruned
 # weights whose zero layout the packer turns into entry lists and panels.
-echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + autotune + prune suites under UPAQ_SANITIZE=address,undefined"
+echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune suites under UPAQ_SANITIZE=address,undefined"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_autotune test_prune
-UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_autotune|test_prune' --output-on-failure
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune
+UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune' --output-on-failure
 # The serve pipeline overlaps stages across pool lanes and recycles batch
 # slots — ASan watches the slot/workspace lifetimes, and the traced run
 # keeps every span live while the stages overlap.

@@ -18,7 +18,6 @@
 
 #include "core/plan.h"
 #include "detectors/detector.h"
-#include "qnn/autotune.h"
 #include "qnn/packed.h"
 
 namespace upaq::core {
@@ -30,32 +29,6 @@ namespace upaq::core {
 /// of layers lowered.
 int lower_quantized(nn::Module& model, const CompressionPlan& plan,
                     int act_bits = 8);
-
-/// One layer's auto-tune outcome: the winning kernel, every candidate's
-/// best-of-reps timing, and whether the layer was lowered. A kFloat winner
-/// keeps the layer on its fake-quant float path (not lowered).
-struct TunedLayer {
-  std::string name;
-  qnn::TunedKernel kernel = qnn::TunedKernel::kSegment;
-  std::vector<qnn::CandidateTiming> timings;
-  bool lowered = true;
-};
-
-struct TuneReport {
-  std::vector<TunedLayer> layers;
-};
-
-/// lower_quantized with the empirical per-layer auto-tuner in the loop: each
-/// planned Conv2d races {fp32 blocked, entry-skip segment, int8 panel} on
-/// its real weight at its last-seen output geometry (256 columns if the
-/// model has not been forwarded yet) and is pinned to the winner —
-/// including NOT lowering it when the float GEMM wins. Linear layers run the
-/// transposed batch-dot path, which has a single integer kernel; they lower
-/// untimed. Returns the number of layers lowered and, when `report` is
-/// non-null, appends one TunedLayer per planned layer.
-int lower_quantized_tuned(nn::Module& model, const CompressionPlan& plan,
-                          int act_bits, const qnn::TuneOptions& opt,
-                          TuneReport* report = nullptr);
 
 /// Detaches all packed engines, restoring the float forward path.
 void clear_engines(nn::Module& model);
@@ -75,10 +48,6 @@ class QuantizedModel final : public detectors::Detector3D {
  public:
   QuantizedModel(detectors::Detector3D& inner, CompressionPlan plan,
                  int act_bits = 8);
-  /// Tuned lowering: races candidate kernels per layer (see
-  /// lower_quantized_tuned) and records the decisions in tune_report().
-  QuantizedModel(detectors::Detector3D& inner, CompressionPlan plan,
-                 int act_bits, const qnn::TuneOptions& tune);
   ~QuantizedModel() override;
 
   std::vector<eval::Box3D> detect(const data::Scene& scene) override;
@@ -93,8 +62,6 @@ class QuantizedModel final : public detectors::Detector3D {
   /// Number of layers running on the packed path.
   int lowered_layers() const { return lowered_; }
   const CompressionPlan& plan() const { return plan_; }
-  /// Per-layer auto-tune decisions (empty for the untuned constructor).
-  const TuneReport& tune_report() const { return tune_report_; }
 
   /// Flips between the packed and float execution of the SAME lowered
   /// model: set_packed(false) parks every attached engine (two pointer
@@ -104,23 +71,11 @@ class QuantizedModel final : public detectors::Detector3D {
   void set_packed(bool packed);
   bool packed() const { return packed_; }
 
-  /// In-context demotion: detaches the packed engine of every named layer,
-  /// returning it to the float path, and rewrites its tune_report() entry
-  /// to a kFloat pin (lowered=false). The load-time race times candidates
-  /// on synthetic inputs; callers that re-measure the lowered model on real
-  /// scenes (bench_fig4's validation sweep) use this to drop layers the
-  /// packed path does not actually beat in context. Returns the number of
-  /// layers demoted and logs one obs "autotune.demote" event per layer.
-  int demote(const std::vector<std::string>& names);
-
  private:
-  void finish_lowering(int act_bits);
-
   detectors::Detector3D& inner_;
   CompressionPlan plan_;
   int lowered_ = 0;
   std::string name_;
-  TuneReport tune_report_;
   bool packed_ = true;
   std::vector<std::pair<nn::Layer*, std::unique_ptr<nn::ForwardEngine>>>
       parked_;

@@ -106,7 +106,7 @@ IntSpeedupReport build_int_speedup_report(
     const std::vector<Event>& fp32_events,
     const std::vector<Event>& packed_events, const hw::DeviceSpec& spec,
     const std::vector<hw::LayerProfile>& profile, int passes,
-    const std::map<std::string, std::string>* pinned_kernels) {
+    const std::map<std::string, std::string>* kernels) {
   IntSpeedupReport rep;
   const int p_ = std::max(passes, 1);
   const auto fp32 = median_by_name(fp32_events, p_);
@@ -115,8 +115,8 @@ IntSpeedupReport build_int_speedup_report(
     if (!p.integer_path) continue;
     IntSpeedupRow row;
     row.name = p.name;
-    if (pinned_kernels != nullptr)
-      if (auto it = pinned_kernels->find(p.name); it != pinned_kernels->end())
+    if (kernels != nullptr)
+      if (auto it = kernels->find(p.name); it != kernels->end())
         row.kernel = it->second;
     row.weight_bits = p.weight_bits;
     row.modeled = spec.int_gemm_speedup(p.weight_bits);

@@ -61,7 +61,7 @@ std::string cost_report_table(const CostComparison& cmp);
 /// are named after the layer in both runs, so the join is a name lookup.
 struct IntSpeedupRow {
   std::string name;
-  std::string kernel;      ///< auto-tuner pinned kernel ("" when untuned)
+  std::string kernel;      ///< kernel the layer's engine runs ("" if unknown)
   int weight_bits = 32;    ///< planned weight bitwidth (sets the model anchor)
   std::int64_t spans = 0;  ///< packed-run span count (0 = not observed)
   double fp32_ms = 0.0;    ///< median float-path latency per pass
@@ -84,14 +84,14 @@ struct IntSpeedupReport {
 /// integer_path are compared; both event sets must cover `passes` forward
 /// passes. The drift column says how far this host's integer-path reality is
 /// from the modeled device anchor — as with the cost report, consistency
-/// across layers matters more than the absolute level. `pinned_kernels`
-/// (optional, layer name -> kernel name from the auto-tuner) annotates each
-/// row with the kernel the layer actually ran.
+/// across layers matters more than the absolute level. `kernels` (optional,
+/// layer name -> kernel name of the attached engine) annotates each row with
+/// the kernel the layer actually ran.
 IntSpeedupReport build_int_speedup_report(
     const std::vector<Event>& fp32_events,
     const std::vector<Event>& packed_events, const hw::DeviceSpec& spec,
     const std::vector<hw::LayerProfile>& profile, int passes,
-    const std::map<std::string, std::string>* pinned_kernels = nullptr);
+    const std::map<std::string, std::string>* kernels = nullptr);
 
 /// Fixed-width text rendering of the integer-speedup comparison.
 std::string int_speedup_table(const IntSpeedupReport& rep);

@@ -17,38 +17,7 @@ namespace {
 constexpr std::int64_t kMinParallelWork = 1 << 15;
 constexpr std::int64_t kRowGrain = 8;
 
-// Spatial tap union of a rank-4 (out_c, in_c, d, d) conv weight: the sorted
-// kernel slots ky*d + kx holding at least one nonzero value across every
-// kernel. Empty for non-conv geometry (rank != 4, non-square, or 1x1).
-std::vector<std::int32_t> weight_tap_union(const Tensor& w) {
-  if (w.rank() != 4 || w.dim(2) != w.dim(3) || w.dim(2) <= 1) return {};
-  const std::int64_t period = w.dim(2) * w.dim(3);
-  std::vector<char> used(static_cast<std::size_t>(period), 0);
-  // The last two dims are contiguous, so flat index % (d*d) is the kernel
-  // slot ky*d + kx — the same slot order the im2col gather walks.
-  for (std::int64_t i = 0; i < w.numel(); ++i)
-    if (w[i] != 0.0f) used[static_cast<std::size_t>(i % period)] = 1;
-  std::vector<std::int32_t> taps;
-  for (std::int64_t s = 0; s < period; ++s)
-    if (used[static_cast<std::size_t>(s)])
-      taps.push_back(static_cast<std::int32_t>(s));
-  return taps;
-}
-
 }  // namespace
-
-std::uint64_t tap_signature(const Tensor& w) {
-  const std::vector<std::int32_t> taps = weight_tap_union(w);
-  if (taps.empty()) return 0;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;  // FNV-1a prime
-  };
-  mix(static_cast<std::uint64_t>(w.dim(2) * w.dim(3)));
-  for (std::int32_t t : taps) mix(static_cast<std::uint64_t>(t) + 1);
-  return h;
-}
 
 QuantizedActs quantize_acts(const Tensor& m, int bits) {
   UPAQ_CHECK(m.rank() == 2, "quantize_acts expects a 2-D matrix");
@@ -138,17 +107,16 @@ PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
     row_segs_[static_cast<std::size_t>(r)] =
         static_cast<std::int64_t>(segs_.size());
 
-  // Kernel dispatch (PanelMode docs): dense-ish int8-representable weights
-  // get the blocked panel kernel, sparse matrices keep the segment kernels
-  // where the zeros cost nothing. The force modes pin one kernel for the
-  // tuner's candidate timings and the cross-kernel equivalence tests.
+  // Kernel dispatch (PanelMode docs): the panel needs codes that fit int8
+  // and segments long enough to amortise its per-segment flush events.
   const bool fits_i8 = bits_ <= 8;
-  const double zero_frac =
-      1.0 - static_cast<double>(entry_count()) / static_cast<double>(rows * k);
+  const bool long_segments =
+      !segs_.empty() &&
+      entry_count() >= kPanelMinSegmentLength *
+                           static_cast<std::int64_t>(segs_.size());
   const bool want_panel =
       mode == PanelMode::kForcePanel ||
-      (mode == PanelMode::kAuto && fits_i8 &&
-       zero_frac <= gemm::kSparseZeroFraction);
+      (mode == PanelMode::kAuto && fits_i8 && long_segments);
   if (want_panel) {
     UPAQ_CHECK(fits_i8, "PackedGemm: panel path needs weight bits <= 8, got " +
                             std::to_string(bits_));

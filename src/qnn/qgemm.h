@@ -57,29 +57,30 @@ float quantize_acts_into(const float* src, std::int64_t count, int bits,
 /// fake-quant reference path).
 Tensor dequantize_acts(const QuantizedActs& acts);
 
-/// Order-sensitive FNV-1a hash over (d*d, spatial tap union) of a rank-4
-/// (out_c, in_c, d, d) conv weight, where the tap union is the sorted list of
-/// kernel slots ky*d + kx holding a nonzero value in any kernel — the union
-/// of the layer's KernelPattern masks. It is the pattern-mask identity
-/// component of the PanelCache key, so two lowerings of one parameter whose
-/// masks differ can never alias one cached panel. Returns 0 for non-conv
-/// geometry (rank != 4, non-square, or 1x1: no taps to identify).
-std::uint64_t tap_signature(const Tensor& w);
+/// Mean packed-segment length (surviving entries per scale segment) from
+/// which the int8 panel kernel replaces the segment kernel: the panel pays
+/// one requantization flush per segment, the segment kernel only its sum.
+/// Sweep of forced panel vs forced segment on dense 8-bit weights (4-vCPU
+/// AVX-512 host, 1 thread): segments of <= 12 entries ran 1.1-7x faster on
+/// the segment kernel at every shape; 16-48 entries trade places within
+/// noise on 3x3 convs, but 48-wide head rows (16x48 and 2x48, n=1024) stay
+/// 1.15-4x faster on segment; from 64 entries (per-tensor scales on wide
+/// rows) the panel ties or leads by up to 1.3x on k >= 432. UPAQ's
+/// per-kernel groups (9 weights) never reach it.
+inline constexpr std::int64_t kPanelMinSegmentLength = 64;
 
 class PackedGemm {
  public:
-  /// run() execution strategy. kAuto picks per matrix from the weight
-  /// itself: codes that fit int8 (weight bits <= 8) and are dense enough
-  /// (zero fraction at or below gemm::kSparseZeroFraction) take the blocked
-  /// pair-interleaved int8 panel kernel; sparse matrices (the pattern-pruned
-  /// convs) keep the entry-skipping segment kernels, where the zeros are
-  /// never touched. kForcePanel / kForceSegment pin one kernel (the
-  /// auto-tuner's candidates, and the cross-kernel equivalence tests). Both
-  /// paths are bitwise identical by construction, so forcing is never needed
-  /// for correctness.
+  /// run() execution strategy. kAuto applies one static rule: codes that fit
+  /// int8 (weight bits <= 8) whose mean segment length reaches
+  /// kPanelMinSegmentLength take the blocked pair-interleaved int8 panel
+  /// kernel; everything else (every UPAQ plan: group-9 segments) keeps the
+  /// entry-skipping segment kernel. kForcePanel / kForceSegment pin one
+  /// kernel for the cross-kernel equivalence tests. Both paths are bitwise
+  /// identical by construction, so forcing is never needed for correctness.
   enum class PanelMode { kAuto, kForcePanel, kForceSegment };
 
-  /// Which kernel run() dispatches to (the auto-tuner's vocabulary).
+  /// Which kernel run() dispatches to.
   enum class KernelKind { kSegment, kInt8Panel };
 
   /// Interprets `w` as a (rows, k) row-major 2-D weight; rows * k must equal

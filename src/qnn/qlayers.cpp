@@ -5,7 +5,6 @@
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
-#include "qnn/qcache.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
@@ -34,6 +33,16 @@ void im2col_codes_into(const std::int8_t* in, std::int64_t c, std::int64_t h,
   gemm::s8_im2col(in, c, h, w, k, stride, pad, oh, ow, out);
 }
 
+/// Packs `w` under `spec` as a (rows, k) GEMM: once at lowering and once
+/// per Parameter::version bump after it.
+PackedGemm build_gemm(const nn::Parameter& w, std::int64_t rows,
+                      std::int64_t k, const LowerSpec& spec) {
+  prof::add(prof::Counter::kPanelBuilds, 1);
+  return PackedGemm(
+      pack(w.value, spec.weight_bits, spec.group_size, spec.format, w.mask),
+      rows, k, spec.mode);
+}
+
 }  // namespace
 
 PackedConv2d::PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec)
@@ -44,26 +53,23 @@ PackedConv2d::PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec)
       pad_(conv.pad()),
       weight_(&conv.weight()),
       spec_(spec),
-      gemm_(PanelCache::instance().get_or_build(
-          conv.weight(), conv.out_channels(),
-          conv.in_channels() * conv.kernel() * conv.kernel(),
-          spec.weight_bits, spec.group_size, spec.format, spec.mode)),
+      gemm_(build_gemm(conv.weight(), conv.out_channels(),
+                       conv.in_channels() * conv.kernel() * conv.kernel(),
+                       spec)),
       packed_version_(conv.weight().version),
       act_bits_(spec.act_bits) {
   if (const nn::Parameter* b = conv.bias()) bias_ = b->value;
 }
 
 void PackedConv2d::refresh() {
-  gemm_ = PanelCache::instance().get_or_build(
-      *weight_, out_c_, in_c_ * kernel_ * kernel_, spec_.weight_bits,
-      spec_.group_size, spec_.format, spec_.mode);
+  gemm_ = build_gemm(*weight_, out_c_, in_c_ * kernel_ * kernel_, spec_);
   packed_version_ = weight_->version;
 }
 
 Tensor PackedConv2d::forward(const Tensor& x) {
   prof::Span span(engine_name());
   // Staleness check runs serially, before the batch fan-out: a weight
-  // mutated after lowering repacks exactly once through the cache.
+  // mutated after lowering repacks exactly once.
   if (weight_->version != packed_version_) refresh();
   UPAQ_CHECK(x.rank() == 4 && x.dim(1) == in_c_,
              "PackedConv2d expects (N," + std::to_string(in_c_) + ",H,W)");
@@ -93,7 +99,7 @@ Tensor PackedConv2d::forward(const Tensor& x) {
       if (kernel_ == 1 && stride_ == 1 && pad_ == 0) {
         // 1x1 conv: the column matrix IS the quantized map; no gather.
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(qcodes, sx, oh * ow, bias, ys);
+        gemm_.run(qcodes, sx, oh * ow, bias, ys);
       } else {
         std::int8_t* cols =
             ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
@@ -102,7 +108,7 @@ Tensor PackedConv2d::forward(const Tensor& x) {
           im2col_codes_into(qcodes, in_c_, h, w, kernel_, stride_, pad_, cols);
         }
         prof::Span gspan("qnn.qgemm");
-        gemm_->run(cols, sx, oh * ow, bias, ys);
+        gemm_.run(cols, sx, oh * ow, bias, ys);
       }
     }
   });
@@ -114,19 +120,15 @@ PackedLinear::PackedLinear(const nn::Linear& linear, const LowerSpec& spec)
       out_f_(linear.out_features()),
       weight_(&linear.weight()),
       spec_(spec),
-      gemm_(PanelCache::instance().get_or_build(
-          linear.weight(), linear.out_features(), linear.in_features(),
-          spec.weight_bits, spec.group_size, spec.format, spec.mode)),
+      gemm_(build_gemm(linear.weight(), linear.out_features(),
+                       linear.in_features(), spec)),
       packed_version_(linear.weight().version),
       act_bits_(spec.act_bits) {
   if (const nn::Parameter* b = linear.bias()) bias_ = b->value;
 }
 
 void PackedLinear::refresh() {
-  gemm_ = PanelCache::instance().get_or_build(*weight_, out_f_, in_f_,
-                                              spec_.weight_bits,
-                                              spec_.group_size, spec_.format,
-                                              spec_.mode);
+  gemm_ = build_gemm(*weight_, out_f_, in_f_, spec_);
   packed_version_ = weight_->version;
 }
 
@@ -139,7 +141,7 @@ Tensor PackedLinear::forward(const Tensor& x) {
   workspace::Scope ws;
   std::int8_t* qcodes = ws.i8(x.numel());
   const float sx = quantize_acts_into(x.data(), x.numel(), act_bits_, qcodes);
-  gemm_->run_t(qcodes, sx, x.dim(0), bias_.empty() ? nullptr : bias_.data(),
+  gemm_.run_t(qcodes, sx, x.dim(0), bias_.empty() ? nullptr : bias_.data(),
               out.data());
   return out;
 }
@@ -154,6 +156,15 @@ bool lower_layer(nn::Layer& layer, const LowerSpec& spec) {
     return true;
   }
   return false;
+}
+
+const PackedGemm* attached_gemm(const nn::Layer& layer) {
+  const nn::ForwardEngine* engine = layer.engine();
+  if (const auto* conv = dynamic_cast<const PackedConv2d*>(engine))
+    return &conv->gemm();
+  if (const auto* linear = dynamic_cast<const PackedLinear*>(engine))
+    return &linear->gemm();
+  return nullptr;
 }
 
 }  // namespace upaq::qnn

@@ -5,8 +5,6 @@
 // float fake-quant path (the engines are inference-only).
 #pragma once
 
-#include <memory>
-
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "qnn/qgemm.h"
@@ -20,24 +18,24 @@ struct LowerSpec {
   std::int64_t group_size = 0;  ///< scale granularity (0 = per tensor)
   quant::StorageFormat format = quant::StorageFormat::kDense;
   int act_bits = 8;             ///< activation code width (2..8)
-  /// Kernel selection for the packed GEMM. kAuto applies the density rule;
-  /// the auto-tuner pins an explicit force mode per layer.
+  /// Kernel selection for the packed GEMM. kAuto applies the static
+  /// segment-length rule; the force modes are test handles.
   PackedGemm::PanelMode mode = PackedGemm::PanelMode::kAuto;
 };
 
 class PackedConv2d final : public nn::ForwardEngine {
  public:
-  /// Packs the conv's current weight (honouring its pruning mask) through
-  /// the process-wide PanelCache and captures geometry + bias. The packed
-  /// codes track the weight parameter: forward() revalidates against
-  /// Parameter::version and rebuilds through the cache when the weight was
-  /// mutated after lowering.
+  /// Packs the conv's current weight (honouring its pruning mask) into the
+  /// engine's own PackedGemm and captures geometry + bias. The packed codes
+  /// track the weight parameter: forward() revalidates against
+  /// Parameter::version and rebuilds when the weight was mutated after
+  /// lowering.
   PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec);
 
   Tensor forward(const Tensor& x) override;
   const char* engine_name() const override { return "qnn.packed_conv2d"; }
 
-  const PackedGemm& gemm() const { return *gemm_; }
+  const PackedGemm& gemm() const { return gemm_; }
   int act_bits() const { return act_bits_; }
 
  private:
@@ -48,7 +46,7 @@ class PackedConv2d final : public nn::ForwardEngine {
   Tensor bias_;  ///< empty when the conv has none
   const nn::Parameter* weight_;
   LowerSpec spec_;
-  std::shared_ptr<const PackedGemm> gemm_;
+  PackedGemm gemm_;
   std::uint64_t packed_version_;
   int act_bits_;
 };
@@ -60,7 +58,7 @@ class PackedLinear final : public nn::ForwardEngine {
   Tensor forward(const Tensor& x) override;
   const char* engine_name() const override { return "qnn.packed_linear"; }
 
-  const PackedGemm& gemm() const { return *gemm_; }
+  const PackedGemm& gemm() const { return gemm_; }
   int act_bits() const { return act_bits_; }
 
  private:
@@ -70,7 +68,7 @@ class PackedLinear final : public nn::ForwardEngine {
   Tensor bias_;
   const nn::Parameter* weight_;
   LowerSpec spec_;
-  std::shared_ptr<const PackedGemm> gemm_;
+  PackedGemm gemm_;
   std::uint64_t packed_version_;
   int act_bits_;
 };
@@ -79,5 +77,9 @@ class PackedLinear final : public nn::ForwardEngine {
 /// matching engine. Returns false (and leaves the layer untouched) when the
 /// layer kind has no packed implementation.
 bool lower_layer(nn::Layer& layer, const LowerSpec& spec);
+
+/// The packed GEMM a layer's attached engine runs, or null when the layer
+/// has no packed engine attached.
+const PackedGemm* attached_gemm(const nn::Layer& layer);
 
 }  // namespace upaq::qnn

@@ -6,9 +6,9 @@
 //     levels — both paths forced explicitly via PanelMode — plus the
 //     narrow-code (bits 2..4) shapes: odd k tails, odd multi-slab k and
 //     small odd scale groups;
-//   - the kAuto density-dispatch rule (bits <= 8 and zero fraction at or
-//     below gemm::kSparseZeroFraction takes the panel kernel, dense 4-bit
-//     codes included);
+//   - the kAuto static rule at real layer geometries (bits <= 8 and mean
+//     segment length >= qnn::kPanelMinSegmentLength takes the panel kernel:
+//     per-tensor dense rows do, UPAQ's group-9 segments never do);
 //   - the packed conv engine on a pattern-pruned strided/padded conv, panel
 //     vs segment;
 //   - the codes_fit_i8 segment blocks (64- and 16-column) vs the generic
@@ -124,9 +124,9 @@ TEST(QgemmKernel, PanelMatchesSegmentBitwise) {
       }
     }
   }
-  // Narrow codes (bits 2..4) take the int8 panel under kAuto when dense:
-  // odd k (the phantom tail of the last pair), odd multi-slab k (k > kQKC),
-  // and small odd groups {9, 7, 5, 3} that do and do not divide k —
+  // Narrow codes (bits 2..4) through the forced int8 panel: odd k (the
+  // phantom tail of the last pair), odd multi-slab k (k > kQKC), and small
+  // odd groups {9, 7, 5, 3} that do and do not divide k —
   // non-divisors force the single-slab layout with drifting scale
   // boundaries, divisors exercise the period-multiple slab rule.
   const Case narrow[] = {
@@ -153,8 +153,8 @@ TEST(QgemmKernel, PanelMatchesSegmentBitwise) {
 }
 
 TEST(QgemmKernel, ForcedPanelOnHighSparsityMatchesSegment) {
-  // Past the kAuto dispatch threshold the panel path would normally never
-  // run; forcing it must still be bitwise identical (zero codes contribute
+  // Short segments on a sparse matrix never take the panel under kAuto;
+  // forcing it must still be bitwise identical (zero codes contribute
   // exactly nothing to integer accumulators, and all-zero groups emit no
   // flush event on either path).
   Rng rng(777);
@@ -163,55 +163,73 @@ TEST(QgemmKernel, ForcedPanelOnHighSparsityMatchesSegment) {
   check_panel_vs_segment(w, rows, k, n, 4, 16, rng, "70% sparse forced panel");
 }
 
-TEST(QgemmKernel, AutoDispatchFollowsDensityRule) {
-  Rng rng(31);
-  const std::int64_t rows = 12, k = 64;
-  // Dense, bits <= 8: panel.
-  {
-    const Tensor w = make_weight(rows, k, 0.0, rng);
-    const auto p = qnn::pack(w, 8, 16, quant::StorageFormat::kDense);
-    EXPECT_TRUE(PackedGemm(p, rows, k).panel_active());
-  }
-  // Zero fraction above gemm::kSparseZeroFraction: segment kernels keep it.
-  {
-    const Tensor w = make_weight(rows, k, 0.8, rng);
-    const auto p = qnn::pack(w, 8, 16, quant::StorageFormat::kDense);
-    EXPECT_FALSE(PackedGemm(p, rows, k).panel_active());
-  }
-  // Codes wider than int8: the panel layout cannot hold them.
-  {
-    const Tensor w = make_weight(rows, k, 0.0, rng);
-    const auto p = qnn::pack(w, 16, 16, quant::StorageFormat::kDense);
-    EXPECT_FALSE(PackedGemm(p, rows, k).panel_active());
-  }
+/// The kernel kAuto picks for `w` packed as a (rows, k) GEMM.
+PackedGemm::KernelKind auto_kind(const Tensor& w, std::int64_t rows,
+                                 std::int64_t k, int bits,
+                                 std::int64_t group) {
+  return PackedGemm(qnn::pack(w, bits, group, quant::StorageFormat::kDense),
+                    rows, k)
+      .kernel_kind();
 }
 
-TEST(QgemmKernel, AutoDispatchSendsDenseNarrowCodesToInt8Panel) {
-  Rng rng(64);
-  const std::int64_t rows = 10, k = 72;
-  // Dense 4-bit codes: the int8 panel, bitwise equal to the segment kernel.
+TEST(QgemmKernel, AutoDispatchFollowsSegmentLengthRule) {
+  Rng rng(31);
+  // Dense group-9 1x1 head (PointPillars head.reg: 16 outputs over 48
+  // channels): groups straddle rows, segments are <= 9 entries -> segment.
+  EXPECT_EQ(auto_kind(make_weight(16, 48, 0.0, rng), 16, 48, 8, 9),
+            PackedGemm::KernelKind::kSegment);
+
+  // n=2 pattern-pruned 3x3 conv, 4-bit codes, group 9 (one scale per
+  // kernel): two surviving taps per kernel -> segment.
   {
+    Rng crng(32);
+    nn::Conv2d conv(16, 24, 3, 1, 1, false, crng, "pat");
+    const auto pats = prune::all_patterns(2, 3);
+    const Tensor mask =
+        prune::expand_kernel_mask(pats[3], conv.weight().value.shape());
+    Tensor w = conv.weight().value;
+    w.mul_(mask);
+    const auto p =
+        qnn::pack(w, 4, 9, quant::StorageFormat::kPatternSparse, mask);
+    EXPECT_EQ(PackedGemm(p, 24, 16 * 9).kernel_kind(),
+              PackedGemm::KernelKind::kSegment);
+  }
+
+  // Per-tensor (group 0) dense 8-bit 3x3 conv: one segment per 576-wide
+  // row -> the int8 panel, bitwise equal to the segment kernel.
+  {
+    const std::int64_t rows = 64, k = 576, n = 37;
     const Tensor w = make_weight(rows, k, 0.0, rng);
-    const auto p = qnn::pack(w, 4, 8, quant::StorageFormat::kDense);
+    const auto p = qnn::pack(w, 8, 0, quant::StorageFormat::kDense);
     PackedGemm g(p, rows, k);
     EXPECT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kInt8Panel);
     PackedGemm seg(p, rows, k, PanelMode::kForceSegment);
-    const std::int64_t n = 21;
     const qnn::QuantizedActs qa =
         qnn::quantize_acts(Tensor::uniform({k, n}, rng), 8);
     std::vector<float> bias(static_cast<std::size_t>(rows), -0.25f);
     Tensor ya({rows, n}), ys({rows, n});
     g.run(qa, bias.data(), ya);
     seg.run(qa, bias.data(), ys);
-    expect_bitwise_equal(ya, ys, "auto 4-bit panel vs segment");
+    expect_bitwise_equal(ya, ys, "auto per-tensor panel vs segment");
   }
-  // High sparsity keeps the entry-skip segment kernel even at 4 bits.
-  {
-    const Tensor w = make_weight(rows, k, 0.8, rng);
-    const auto p = qnn::pack(w, 4, 8, quant::StorageFormat::kDense);
-    EXPECT_EQ(PackedGemm(p, rows, k).kernel_kind(),
-              PackedGemm::KernelKind::kSegment);
-  }
+
+  // 16-bit codes do not fit the int8 panel, however long the rows.
+  EXPECT_EQ(auto_kind(make_weight(64, 576, 0.0, rng), 64, 576, 16, 0),
+            PackedGemm::KernelKind::kSegment);
+
+  // The boundary itself: rows of exactly kPanelMinSegmentLength nonzero
+  // codes take the panel, one entry narrower stays on segment (+-1 weights,
+  // so no code rounds to zero and drops out of the entry list).
+  const auto unit = [](std::int64_t rows, std::int64_t k) {
+    Tensor w({rows, k});
+    for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = i % 3 ? 1.0f : -1.0f;
+    return w;
+  };
+  const std::int64_t at = qnn::kPanelMinSegmentLength;
+  EXPECT_EQ(auto_kind(unit(8, at), 8, at, 8, 0),
+            PackedGemm::KernelKind::kInt8Panel);
+  EXPECT_EQ(auto_kind(unit(8, at - 1), 8, at - 1, 8, 0),
+            PackedGemm::KernelKind::kSegment);
 }
 
 TEST(QgemmKernel, ThreadCountInvariantBitwise) {

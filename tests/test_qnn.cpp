@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 
 #include "core/qmodel.h"
@@ -18,6 +19,7 @@
 #include "nn/conv.h"
 #include "nn/layers.h"
 #include "parallel/thread_pool.h"
+#include "prof/prof.h"
 #include "prune/pattern.h"
 #include "qnn/packed.h"
 #include "qnn/qgemm.h"
@@ -268,6 +270,92 @@ TEST(PackedDeterminism, BitwiseIdenticalAcrossThreadCounts) {
             0);
 }
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// Eval forward of a fresh conv carrying `weight`, lowered under `spec`:
+/// the reference a lowered layer's output must match bitwise.
+Tensor fresh_lowered_forward(const Tensor& weight, const qnn::LowerSpec& spec,
+                             const Tensor& x) {
+  Rng rng(1);
+  nn::Conv2d conv(weight.dim(1), weight.dim(0), 3, 1, 1, /*bias=*/false, rng,
+                  "fresh");
+  conv.weight().value = weight;
+  conv.weight().mark_mutated();
+  EXPECT_TRUE(qnn::lower_layer(conv, spec));
+  conv.set_training(false);
+  return conv.forward(x);
+}
+
+TEST(PackedEngines, LayerBuiltAtAFreedLayersAddressPacksItsOwnWeights) {
+  // A conv lowered where a freed conv of the same spec used to live must
+  // run its own weights. Engines pack their weights themselves; a packed
+  // image looked up by the parameter's address would hand the second conv
+  // the first one's weights (both parameters sit at version 0).
+  qnn::LowerSpec spec;
+  spec.weight_bits = 8;
+  spec.group_size = 9;
+  Rng xrng(808);
+  const Tensor x = Tensor::normal({1, 4, 6, 6}, xrng);
+  std::optional<nn::Conv2d> slot;
+  Rng rng_a(11);
+  slot.emplace(4, 6, 3, 1, 1, /*bias=*/false, rng_a, "conv");
+  ASSERT_TRUE(qnn::lower_layer(*slot, spec));
+  slot->set_training(false);
+  const Tensor ya = slot->forward(x);
+  const void* param_a = &slot->weight();
+  slot.reset();
+
+  Rng rng_b(12);
+  slot.emplace(4, 6, 3, 1, 1, /*bias=*/false, rng_b, "conv");
+  ASSERT_EQ(static_cast<const void*>(&slot->weight()), param_a);
+  ASSERT_TRUE(qnn::lower_layer(*slot, spec));
+  slot->set_training(false);
+  const Tensor yb = slot->forward(x);
+  EXPECT_FALSE(bitwise_equal(ya, yb)) << "differently seeded convs agree";
+  EXPECT_TRUE(
+      bitwise_equal(yb, fresh_lowered_forward(slot->weight().value, spec, x)))
+      << "the second conv ran weights other than its own";
+}
+
+TEST(PackedEngines, VersionBumpRepacksOnceThenStaysPacked) {
+  qnn::LowerSpec spec;
+  spec.weight_bits = 4;
+  spec.group_size = 9;
+  Rng rng(909);
+  nn::Conv2d conv(4, 6, 3, 1, 1, /*bias=*/false, rng, "conv");
+  ASSERT_TRUE(qnn::lower_layer(conv, spec));
+  conv.set_training(false);
+  const Tensor x = Tensor::normal({1, 4, 7, 7}, rng);
+  const Tensor before = conv.forward(x);
+
+  // Mutate the weight after lowering (an optimizer step would do the same).
+  Tensor& w = conv.weight().value;
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = -0.5f * w[i];
+  conv.weight().mark_mutated();
+
+  const bool was_enabled = prof::enabled();
+  prof::set_enabled(true);
+  const auto builds = [] {
+    return prof::counter_value(prof::Counter::kPanelBuilds);
+  };
+  const std::uint64_t b0 = builds();
+  const Tensor after = conv.forward(x);
+  const std::uint64_t b1 = builds();
+  for (int i = 0; i < 3; ++i) (void)conv.forward(x);
+  const std::uint64_t b2 = builds();
+  prof::set_enabled(was_enabled);
+
+  EXPECT_EQ(b1 - b0, 1u) << "a version bump must repack exactly once";
+  EXPECT_EQ(b2 - b1, 0u) << "steady-state forwards must not repack";
+  EXPECT_FALSE(bitwise_equal(before, after));
+  EXPECT_TRUE(bitwise_equal(after, fresh_lowered_forward(w, spec, x)))
+      << "the repacked engine diverges from a fresh lowering";
+}
+
 TEST(PackedEngines, TrainingModeStaysOnFloatPath) {
   Rng rng(606);
   nn::Conv2d with_engine(3, 4, 3, 1, 1, /*bias=*/false, rng, "conv");
@@ -356,6 +444,22 @@ TEST(QuantizedModel, IntegerPathMapMatchesFakeQuantPath) {
     core::QuantizedModel qmodel(*model, result.plan);
     EXPECT_GT(qmodel.lowered_layers(), 0);
     EXPECT_STREQ(qmodel.model_name(), "Quantized(PointPillars)");
+
+    // Kernel census: UPAQ's per-kernel scale groups keep every packed
+    // segment at <= 9 entries, so every lowered layer runs the segment
+    // kernel, and the layers priced on the integer path are exactly the
+    // layers carrying a packed engine.
+    std::set<std::string> engines, integer_rows;
+    for (const auto& layer : model->layers())
+      if (const qnn::PackedGemm* g = qnn::attached_gemm(*layer)) {
+        engines.insert(layer->name());
+        EXPECT_EQ(g->kernel_kind(), qnn::PackedGemm::KernelKind::kSegment)
+            << layer->name();
+      }
+    EXPECT_EQ(static_cast<int>(engines.size()), qmodel.lowered_layers());
+    for (const auto& l : qmodel.cost_profile())
+      if (l.integer_path) integer_rows.insert(l.name);
+    EXPECT_EQ(integer_rows, engines);
     const double map_int =
         detectors::evaluate_map(qmodel, z.dataset().test, 0.25);
     // int8 activations on top of the already-quantized weights: the packed
