@@ -175,4 +175,16 @@ UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_ke
 # sites with the pipeline, exactly where a lifetime bug would hide.
 UPAQ_TRACE=1 UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_prof|test_obs|test_serve' --output-on-failure
 
-echo "check.sh: OK (tier1 passed serial, 4-thread, and traced; perf + serve + scenario + metrics smokes, ratchet, recall gate, bench-regression gate, sanitizers green)"
+# On an AVX-512 host the kernel TU's AVX2 paths (the 16-column segment
+# block, the 8-lane quantizer and plane build, the BN fallback) only run on
+# column tails. A second build with -mno-avx512f runs them on every column:
+# GCC keeps the explicit -mno-avx512f over what the kernel TU's later
+# -march=native implies, so that TU compiles without AVX-512 (an AVX2 host
+# in miniature) and its suites must still pass bitwise.
+echo "==> qgemm + qnn + nn suites with the kernel TU built without AVX-512"
+NOAVX512_DIR="${BUILD_DIR}-noavx512"
+cmake -B "$NOAVX512_DIR" -S . -DCMAKE_CXX_FLAGS=-mno-avx512f
+cmake --build "$NOAVX512_DIR" -j "$JOBS" --target test_qgemm_kernel test_qnn test_nn
+UPAQ_THREADS=4 ctest --test-dir "$NOAVX512_DIR" -R '^(test_qgemm_kernel|test_qnn|test_nn)$' --output-on-failure
+
+echo "check.sh: OK (tier1 passed serial, 4-thread, and traced; perf + serve + scenario + metrics smokes, ratchet, recall gate, bench-regression gate, sanitizers and no-AVX-512 suites green)"

@@ -7,6 +7,7 @@
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 
 namespace upaq::nn {
@@ -129,17 +130,12 @@ void BatchNorm2d::eval_into(const Tensor& x, float* out,
       const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
       const float g = gamma_.value[ch], bta = beta_.value[ch];
       const float mean = running_mean_[ch];
-      const auto norm = [&](float v) { return g * (v - mean) * inv_std + bta; };
-      for (std::int64_t b = 0; b < n; ++b) {
-        const float* src = x.data() + (b * c + ch) * hw;
-        float* dst = out + (b * c + ch) * hw;
-        if (relu == nullptr) {
-          for (std::int64_t i = 0; i < hw; ++i) dst[i] = norm(src[i]);
-        } else {
-          for (std::int64_t i = 0; i < hw; ++i)
-            dst[i] = Relu::apply(norm(src[i]), slope);
-        }
-      }
+      // g * (v - mean) * inv_std + beta, then Relu::apply, per element; the
+      // loop lives in the kernel TU for its vector codegen, with those exact
+      // roundings (no contraction).
+      for (std::int64_t b = 0; b < n; ++b)
+        gemm::f32_bn_eval(x.data() + (b * c + ch) * hw, hw, g, mean, inv_std,
+                          bta, relu != nullptr, slope, out + (b * c + ch) * hw);
     }
   };
   if (c * n * hw < kLayerParallelGrain) {

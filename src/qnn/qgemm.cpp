@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "tensor/check.h"
 #include "tensor/gemm_kernel.h"
+#include "tensor/workspace.h"
 
 namespace upaq::qnn {
 
@@ -35,16 +37,30 @@ QuantizedActs quantize_acts(const float* src0, std::int64_t rows,
   return acts;
 }
 
-float quantize_acts_into(const float* src, std::int64_t n, int bits,
-                         std::int8_t* dst) {
+namespace {
+
+void count_act_quant(int bits) {
   UPAQ_CHECK(bits >= 2 && bits <= 8,
              "quantize_acts: bits must be in [2, 8], got " + std::to_string(bits));
   prof::add(prof::Counter::kActQuantCalls, 1);
+}
+
+}  // namespace
+
+float quantize_acts_into(const float* src, std::int64_t n, int bits,
+                         std::int8_t* dst) {
+  count_act_quant(bits);
   // Hot loops live in the kernel TU (gemm_kernel.cpp) for its codegen; the
   // arithmetic is exact per element, so where it compiles cannot change the
   // codes (a libm std::round per element here dominated the packed path
   // once; a scalar abs-max/convert at this TU's -O2 was next).
   return gemm::s8_quantize(src, n, bits, dst);
+}
+
+float quantize_planes_into(const float* src, const gemm::PlaneLayout& layout,
+                           int bits, std::int8_t* dst) {
+  count_act_quant(bits);
+  return gemm::s8_quantize_planes(src, layout, bits, dst);
 }
 
 Tensor dequantize_acts(const QuantizedActs& acts) {
@@ -186,11 +202,23 @@ void PackedGemm::run(const QuantizedActs& x, const float* bias,
 
 void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
                      const float* bias, float* py) const {
+  UPAQ_CHECK((k_ - 1) * n <= std::numeric_limits<std::int32_t>::max(),
+             "PackedGemm::run: activation matrix exceeds int32 offsets");
+  workspace::Scope ws;
+  std::int32_t* row_off = ws.i32(k_);
+  for (std::int64_t p = 0; p < k_; ++p)
+    row_off[p] = static_cast<std::int32_t>(p * n);
+  run(qx, row_off, sx, n, n, bias, py);
+}
+
+void PackedGemm::run(const std::int8_t* qx, const std::int32_t* row_off,
+                     float sx, std::int64_t n, std::int64_t real_cols,
+                     const float* bias, float* py) const {
   prof::add(prof::Counter::kPackedSegments,
             static_cast<std::uint64_t>(segs_.size()));
   prof::add(prof::Counter::kQgemmMacs,
             static_cast<std::uint64_t>(entry_count()) *
-                static_cast<std::uint64_t>(n));
+                static_cast<std::uint64_t>(real_cols));
   if (panel_active()) {
     // Bias prefill mirrors the segment path's per-row fill; the panel kernel
     // then requantizes into it with the same per-element operation order, so
@@ -206,7 +234,7 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
     } else {
       parallel::parallel_for(0, rows_, kRowGrain, fill);
     }
-    gemm::q8_gemm_panel(panel_, qx, sx, n, py);
+    gemm::q8_gemm_panel(panel_, qx, row_off, sx, n, py);
     return;
   }
   // Entry-skipping segment sweep, hosted wholesale in the -march=native
@@ -215,8 +243,8 @@ void PackedGemm::run(const std::int8_t* qx, float sx, std::int64_t n,
   // segments in order) is a pure function of the entry layout, never of the
   // thread count or blocking.
   gemm::s8_gemm_segments(cols_.data(), codes_.data(), segs_.data(),
-                         row_segs_.data(), rows_, k_, qx, sx, n, bias, py,
-                         /*codes_fit_i8=*/bits_ <= 8);
+                         row_segs_.data(), rows_, k_, qx, row_off, sx, n,
+                         bias, py, /*codes_fit_i8=*/bits_ <= 8);
 }
 
 void PackedGemm::run_t(const QuantizedActs& x, const float* bias,

@@ -53,6 +53,12 @@ QuantizedActs quantize_acts(const float* src, std::int64_t rows,
 float quantize_acts_into(const float* src, std::int64_t count, int bits,
                          std::int8_t* dst);
 
+/// quantize_acts_into for a conv input: quantizes the (c, h, w) map into the
+/// zero-padded phase planes of `layout` (layout.bytes bytes at `dst`).
+/// Same scale and codes as quantize_acts_into over the map.
+float quantize_planes_into(const float* src, const gemm::PlaneLayout& layout,
+                           int bits, std::int8_t* dst);
+
 /// Exact float image of the activation codes (for the equivalence tests'
 /// fake-quant reference path).
 Tensor dequantize_acts(const QuantizedActs& acts);
@@ -91,15 +97,23 @@ class PackedGemm {
   PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
              PanelMode mode = PanelMode::kAuto);
 
-  /// out(rows, n) = requant(Wq * Xq) + bias, with x laid out (k, n) — the
-  /// im2col orientation. `bias` (length rows) may be null.
+  /// out(rows, n) = requant(Wq * Xq) + bias, with x laid out (k, n).
+  /// `bias` (length rows) may be null.
   void run(const QuantizedActs& x, const float* bias, Tensor& out) const;
 
   /// Raw-buffer variant of run(): `codes` is the (k, n) activation matrix,
   /// `out` a (rows, n) buffer written in place (bias is fused into the
-  /// initial fill, so no separate output pass is needed). Lets callers feed
-  /// pre-gathered integer columns and write straight into an output slice.
+  /// initial fill, so no separate output pass is needed).
   void run(const std::int8_t* codes, float act_scale, std::int64_t n,
+           const float* bias, float* out) const;
+
+  /// Offset variant of run(): activation row p is the n bytes at
+  /// codes + row_off[p] (the packed conv's zero-padded planes, see
+  /// gemm::PlaneLayout). The qgemm_macs counter charges `real_cols` columns
+  /// per entry: the conv's padded-width grid carries discarded columns that
+  /// are not output.
+  void run(const std::int8_t* codes, const std::int32_t* row_off,
+           float act_scale, std::int64_t n, std::int64_t real_cols,
            const float* bias, float* out) const;
 
   /// Transposed-activation variant for Linear: x laid out (n, k) row-major

@@ -1,37 +1,15 @@
 #include "qnn/qlayers.h"
 
-#include <algorithm>
-#include <vector>
+#include <cstring>
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "tensor/gemm_kernel.h"
-#include "tensor/ops.h"
 #include "tensor/workspace.h"
 
 namespace upaq::qnn {
 
 namespace {
-
-// im2col over already-quantized activation codes: the conv input map is
-// quantized once (C*H*W elements) and the column matrix gathers int8 codes,
-// instead of gathering floats and quantizing the K*K-times-larger column
-// matrix. Padding becomes code 0 — exactly what quantizing a padded float
-// zero yields — and every input value appears in the column matrix, so the
-// per-tensor scale (and therefore every code) is identical either way.
-// Writes into caller-provided scratch (the workspace arena) so the
-// steady-state packed-conv loop never touches the heap.
-void im2col_codes_into(const std::int8_t* in, std::int64_t c, std::int64_t h,
-                       std::int64_t w, int k, int stride, int pad,
-                       std::int8_t* out) {
-  const std::int64_t oh = ops::conv_out_size(h, k, stride, pad);
-  const std::int64_t ow = ops::conv_out_size(w, k, stride, pad);
-  prof::add(prof::Counter::kIm2colBytes,
-            static_cast<std::uint64_t>(c * k * k * oh * ow));
-  // The gather itself (pure byte moves, interior rows collapse to memcpy)
-  // lives in the kernel TU for its codegen.
-  gemm::s8_im2col(in, c, h, w, k, stride, pad, oh, ow, out);
-}
 
 /// Packs `w` under `spec` as a (rows, k) GEMM: once at lowering and once
 /// per Parameter::version bump after it.
@@ -74,41 +52,45 @@ Tensor PackedConv2d::forward(const Tensor& x) {
   UPAQ_CHECK(x.rank() == 4 && x.dim(1) == in_c_,
              "PackedConv2d expects (N," + std::to_string(in_c_) + ",H,W)");
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = ops::conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = ops::conv_out_size(w, kernel_, stride_, pad_);
+  const gemm::PlaneLayout pl =
+      gemm::plane_layout(in_c_, h, w, kernel_, stride_, pad_);
+  const std::int64_t oh = pl.oh, ow = pl.ow;
   Tensor out({n, out_c_, oh, ow});
   const float* bias = bias_.empty() ? nullptr : bias_.data();
+  workspace::Scope ws;
+  std::int32_t* row_off = ws.i32(in_c_ * kernel_ * kernel_);
+  gemm::plane_row_offsets(pl, row_off);
   // Batch items write disjoint output slices (same decomposition as the
   // float Conv2d); the integer GEMM inside is exact, so the whole path is
   // bitwise deterministic at any thread count. The input map is quantized
-  // BEFORE im2col — K*K times less quantization work, and the gather moves
-  // int8 instead of float — which yields the same scale and codes as
-  // quantizing the column matrix (same value multiset). The GEMM writes
-  // straight into the output slice with bias fused into its initial fill.
+  // once, straight into zero-padded planes where every conv tap is a
+  // constant byte offset (gemm::PlaneLayout), so the GEMM reads its taps in
+  // place: no im2col matrix. Its scale and codes equal quantizing the im2col
+  // matrix (same value multiset plus padding zeros). The GEMM runs over the
+  // padded-width grid (bias fused into its initial fill); each row's ow
+  // valid columns are then copied out, unless the grid is the output.
   parallel::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
-      workspace::Scope ws;
+      workspace::Scope bws;
       const float* xs = x.data() + b * in_c_ * h * w;
       float* ys = out.data() + b * out_c_ * oh * ow;
-      std::int8_t* qcodes = ws.i8(in_c_ * h * w);
+      std::int8_t* planes = bws.i8(pl.bytes);
       float sx;
       {
         prof::Span qspan("qnn.quant_acts");
-        sx = quantize_acts_into(xs, in_c_ * h * w, act_bits_, qcodes);
+        sx = quantize_planes_into(xs, pl, act_bits_, planes);
       }
-      if (kernel_ == 1 && stride_ == 1 && pad_ == 0) {
-        // 1x1 conv: the column matrix IS the quantized map; no gather.
+      const bool direct = pl.wq == ow;
+      float* grid = direct ? ys : bws.floats(out_c_ * pl.n);
+      {
         prof::Span gspan("qnn.qgemm");
-        gemm_.run(qcodes, sx, oh * ow, bias, ys);
-      } else {
-        std::int8_t* cols =
-            ws.i8(in_c_ * kernel_ * kernel_ * oh * ow);
-        {
-          prof::Span ispan("qnn.im2col");
-          im2col_codes_into(qcodes, in_c_, h, w, kernel_, stride_, pad_, cols);
-        }
-        prof::Span gspan("qnn.qgemm");
-        gemm_.run(cols, sx, oh * ow, bias, ys);
+        gemm_.run(planes, row_off, sx, pl.n, oh * ow, bias, grid);
+      }
+      if (!direct) {
+        prof::Span cspan("qnn.crop");
+        for (std::int64_t r = 0; r < out_c_ * oh; ++r)
+          std::memcpy(ys + r * ow, grid + r * pl.wq,
+                      static_cast<std::size_t>(ow) * sizeof(float));
       }
     }
   });

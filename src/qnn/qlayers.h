@@ -1,7 +1,8 @@
 // Packed-execution engines for Conv2d and Linear, attachable through the
-// nn::ForwardEngine hook: eval-mode forward runs im2col + the integer
-// PackedGemm instead of the float path, with activations quantized to int8
-// on entry and requantized to float on exit. Training always stays on the
+// nn::ForwardEngine hook: eval-mode forward runs the integer PackedGemm
+// instead of the float path, with activations quantized to int8 on entry
+// (conv inputs straight into zero-padded planes the GEMM reads its taps from,
+// no im2col) and requantized to float on exit. Training always stays on the
 // float fake-quant path (the engines are inference-only).
 #pragma once
 

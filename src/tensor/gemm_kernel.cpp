@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
+#include "tensor/check.h"
 #include "tensor/workspace.h"
 
 namespace upaq::gemm {
@@ -260,18 +262,6 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
   run_blocked<true>(ap, m, k, b, c, n, alpha);
 }
 
-void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
-                           std::int64_t len, const std::int8_t* qx,
-                           std::int64_t ldq, std::int64_t j0, std::int64_t nb,
-                           std::int32_t* acc) {
-  for (std::int64_t e = 0; e < len; ++e) {
-    const std::int32_t w = codes[e];
-    const std::int8_t* brow = qx + static_cast<std::int64_t>(cols[e]) * ldq + j0;
-    for (std::int64_t j = 0; j < nb; ++j)
-      acc[j] += w * static_cast<std::int32_t>(brow[j]);
-  }
-}
-
 // ------------------------------------------------------- int8 panel kernels
 
 // Requantization is contractually one float multiply then one float add per
@@ -325,19 +315,45 @@ inline v8si load_i8x8_as_i32(const std::int8_t* p) {
 }  // namespace
 #endif
 
+namespace {
+
+// The segment kernels below read activation row p (an entry's column) as the
+// bytes at qx + row_off[p] + j0 (see s8_gemm_segments).
+
+/// Generic (len >= 4) segment body: for the entries {(cols[e], codes[e])},
+/// e in [0, len), accumulates acc[j] += codes[e] * x(cols[e], j0 + j) for j
+/// in [0, nb) into the caller's int32 block accumulator. Exact integer
+/// arithmetic — bitwise identical for any block decomposition.
+void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
+                           std::int64_t len, const std::int8_t* qx,
+                           const std::int32_t* row_off, std::int64_t j0,
+                           std::int64_t nb, std::int32_t* acc) {
+  for (std::int64_t e = 0; e < len; ++e) {
+    const std::int32_t w = codes[e];
+    const std::int8_t* brow = qx + row_off[cols[e]] + j0;
+    for (std::int64_t j = 0; j < nb; ++j)
+      acc[j] += w * static_cast<std::int32_t>(brow[j]);
+  }
+}
+
+/// Fused short-segment kernel (UPAQ patterns keep 1..3 weights per kernel):
+/// for the `len` (1..3) entries computes, per column j in [0, nb),
+///   t = m * float(sum_e codes[e] * x(cols[e], j0 + j));  yb[j] += t
+/// The integer dot is exact; the requantization is one float multiply then
+/// one float add, contraction pinned, so the result is independent of the
+/// vector width.
 void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
-                      std::int64_t len, const std::int8_t* qx, std::int64_t ldq,
-                      std::int64_t j0, std::int64_t nb, float m, float* yb) {
+                      std::int64_t len, const std::int8_t* qx,
+                      const std::int32_t* row_off, std::int64_t j0,
+                      std::int64_t nb, float m, float* yb) {
   // Weight codes can be up to 16 bits here, so the products use int32 math
-  // (the int16 pair trick is reserved for the <= 8-bit panel micro-kernel).
+  // (the int16 pair trick is reserved for the <= 8-bit kernels).
   const std::int32_t w0 = codes[0];
-  const std::int8_t* b0 = qx + static_cast<std::int64_t>(cols[0]) * ldq + j0;
+  const std::int8_t* b0 = qx + row_off[cols[0]] + j0;
   const std::int32_t w1 = len > 1 ? codes[1] : 0;
-  const std::int8_t* b1 =
-      len > 1 ? qx + static_cast<std::int64_t>(cols[1]) * ldq + j0 : b0;
+  const std::int8_t* b1 = len > 1 ? qx + row_off[cols[1]] + j0 : b0;
   const std::int32_t w2 = len > 2 ? codes[2] : 0;
-  const std::int8_t* b2 =
-      len > 2 ? qx + static_cast<std::int64_t>(cols[2]) * ldq + j0 : b0;
+  const std::int8_t* b2 = len > 2 ? qx + row_off[cols[2]] + j0 : b0;
   std::int64_t j = 0;
 #ifdef UPAQ_S8_VEC
   for (; j + 8 <= nb; j += 8) {
@@ -362,6 +378,10 @@ void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
   }
 }
 
+/// Requantize-and-add flush of an int32 accumulator block: per j in [0, nb),
+///   t = m * float(acc[j]);  yb[j] += t
+/// The same one-multiply-one-add element sequence as s8_fused_segment and the
+/// panel kernel's flush, so every integer path requantizes identically.
 void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
                     float* yb) {
   std::int64_t j = 0;
@@ -384,6 +404,37 @@ void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
   }
 }
 
+/// One (row, nb-column) output block of the segment GEMM on the portable
+/// path: bias fill, then each segment's requantized sum in order (fused
+/// kernels for 1..3 entries, the int32 accumulator otherwise). `iacc` holds
+/// at least nb int32s.
+void s8_segment_block(const std::int32_t* cols, const std::int32_t* codes,
+                      const QSegment* segs, std::int64_t s0, std::int64_t s1,
+                      const std::int8_t* qx, const std::int32_t* row_off,
+                      float sx, std::int64_t j0, std::int64_t nb, float bias_v,
+                      std::int32_t* iacc, float* yb) {
+  std::fill(yb, yb + nb, bias_v);
+  for (std::int64_t si = s0; si < s1; ++si) {
+    const QSegment& seg = segs[si];
+    const std::int64_t len = seg.end - seg.begin;
+    const float m = seg.scale * sx;
+    // UPAQ patterns keep 2 (HCK) or 3 (LCK) weights per kernel, so almost
+    // every segment is tiny: the fused kernels fold the integer sum and the
+    // requantization into one pass over the columns.
+    if (len <= 3) {
+      s8_fused_segment(cols + seg.begin, codes + seg.begin, len, qx, row_off,
+                       j0, nb, m, yb);
+    } else {
+      std::fill(iacc, iacc + nb, 0);
+      s8_segment_accumulate(cols + seg.begin, codes + seg.begin, len, qx,
+                            row_off, j0, nb, iacc);
+      s8_requant_add(iacc, nb, m, yb);
+    }
+  }
+}
+
+}  // namespace
+
 #if defined(UPAQ_S8_VEC) && defined(__AVX2__)
 namespace {
 
@@ -401,45 +452,52 @@ namespace {
 /// the fast path is bitwise equivalent, only faster.
 void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
                     const QSegment* segs, std::int64_t s0, std::int64_t s1,
-                    const std::int8_t* qx, float sx, std::int64_t n,
-                    std::int64_t j0, float bias_v, float* yb) {
+                    const std::int8_t* qx, const std::int32_t* row_off,
+                    float sx, std::int64_t j0, float bias_v, float* yb) {
+  // The exact int16 pair sums of entries e (and e + 1 when has2) for the
+  // 16 columns, widened to int32: columns 0-7 in s[0], 8-15 in s[1].
+  const auto pair_sums = [&](std::int64_t e, bool has2, __m256i (&s)[2]) {
+    const std::int32_t w0 = codes[e];
+    const std::int32_t w1 = has2 ? codes[e + 1] : 0;
+    const __m128i r0 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(qx + row_off[cols[e]] + j0));
+    const __m128i r1 =
+        has2 ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                   qx + row_off[cols[e + 1]] + j0))
+             : _mm_setzero_si128();
+    const __m256i x_il =
+        _mm256_set_m128i(_mm_unpackhi_epi8(r0, r1), _mm_unpacklo_epi8(r0, r1));
+    const int s0b = w0 < 0 ? 0xFF : (w0 > 0 ? 1 : 0);
+    const int s1b = w1 < 0 ? 0xFF : (w1 > 0 ? 1 : 0);
+    const __m256i wsgn =
+        _mm256_set1_epi16(static_cast<short>((s1b << 8) | s0b));
+    const __m256i uabs = _mm256_set1_epi16(static_cast<short>(
+        ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
+    const __m256i p =
+        _mm256_maddubs_epi16(uabs, _mm256_sign_epi8(x_il, wsgn));
+    s[0] = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p));
+    s[1] = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1));
+  };
   __m256 y0 = _mm256_set1_ps(bias_v);
   __m256 y1 = y0;
   for (std::int64_t si = s0; si < s1; ++si) {
     const QSegment& seg = segs[si];
-    __m256i acc_lo = _mm256_setzero_si256();
-    __m256i acc_hi = _mm256_setzero_si256();
-    for (std::int64_t e = seg.begin; e < seg.end; e += 2) {
-      const std::int32_t w0 = codes[e];
-      const bool has2 = e + 1 < seg.end;
-      const std::int32_t w1 = has2 ? codes[e + 1] : 0;
-      const __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          qx + static_cast<std::int64_t>(cols[e]) * n + j0));
-      const __m128i r1 =
-          has2 ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                     qx + static_cast<std::int64_t>(cols[e + 1]) * n + j0))
-               : _mm_setzero_si128();
-      const __m256i x_il =
-          _mm256_set_m128i(_mm_unpackhi_epi8(r0, r1), _mm_unpacklo_epi8(r0, r1));
-      const int s0b = w0 < 0 ? 0xFF : (w0 > 0 ? 1 : 0);
-      const int s1b = w1 < 0 ? 0xFF : (w1 > 0 ? 1 : 0);
-      const __m256i wsgn =
-          _mm256_set1_epi16(static_cast<short>((s1b << 8) | s0b));
-      const __m256i uabs = _mm256_set1_epi16(static_cast<short>(
-          ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
-      const __m256i p =
-          _mm256_maddubs_epi16(uabs, _mm256_sign_epi8(x_il, wsgn));
-      acc_lo = _mm256_add_epi32(
-          acc_lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p)));
-      acc_hi = _mm256_add_epi32(
-          acc_hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(p, 1)));
+    // The first pair initialises the accumulators (one-pair segments skip
+    // the zero fill and the adds).
+    __m256i acc[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    if (seg.begin < seg.end) pair_sums(seg.begin, seg.begin + 1 < seg.end, acc);
+    for (std::int64_t e = seg.begin + 2; e < seg.end; e += 2) {
+      __m256i sums[2];
+      pair_sums(e, e + 1 < seg.end, sums);
+      acc[0] = _mm256_add_epi32(acc[0], sums[0]);
+      acc[1] = _mm256_add_epi32(acc[1], sums[1]);
     }
     const float m_ = seg.scale * sx;
     const __m256 mv = _mm256_set1_ps(m_);
-    __m256 t0 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc_lo));
+    __m256 t0 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc[0]));
     UPAQ_NO_CONTRACT(t0);
     y0 = _mm256_add_ps(y0, t0);
-    __m256 t1 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc_hi));
+    __m256 t1 = _mm256_mul_ps(mv, _mm256_cvtepi32_ps(acc[1]));
     UPAQ_NO_CONTRACT(t1);
     y1 = _mm256_add_ps(y1, t1);
   }
@@ -448,11 +506,13 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
 }
 
 #if defined(__AVX512BW__)
-// GCC 12's AVX-512 intrinsic headers seed some conversions from a
-// deliberately undefined register, which -Wmaybe-uninitialized misreports.
+// GCC 12's AVX-512 intrinsic headers seed some conversions and shuffles from
+// a deliberately undefined register, which -W(maybe-)uninitialized
+// misreports.
 #if !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 /// One (row, 64-column) output block: s8_row_block16's arithmetic over four
 /// zmm float accumulators, so each entry pair's setup (sign mask, |w| bytes)
@@ -461,8 +521,8 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
 /// is a single pair and that setup is most of the 16-column block's work.
 ///
 /// AVX-512BW has no vpsignb: each activation byte is negated where its
-/// pair's weight is negative as (x ^ m) - m with m = 0xFF, which is exact
-/// because activation codes never reach -128. Zero weights keep their byte
+/// pair's weight is negative by a byte-masked 0 - x, which is exact because
+/// activation codes never reach -128. Zero weights keep their byte
 /// (sign_epi8 would zero it) but multiply by |w| = 0 either way.
 ///
 /// unpack{lo,hi}_epi8 interleave the two activation rows within each 128-bit
@@ -474,42 +534,48 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
 /// 128-bit-lane shuffle per store and results equal s8_row_block16's bitwise.
 void s8_row_block64(const std::int32_t* cols, const std::int32_t* codes,
                     const QSegment* segs, std::int64_t s0, std::int64_t s1,
-                    const std::int8_t* qx, float sx, std::int64_t n,
-                    std::int64_t j0, float bias_v, float* yb) {
+                    const std::int8_t* qx, const std::int32_t* row_off,
+                    float sx, std::int64_t j0, float bias_v, float* yb) {
+  // The exact int16 pair sums of entries e (and e + 1 when has2) for the
+  // 64 columns, widened to int32 in the accumulator order above. A weight's
+  // sign moves onto its activation bytes with one masked 0 - x: byte 2j of
+  // an interleaved pair belongs to entry e, byte 2j + 1 to entry e + 1.
+  const auto pair_sums = [&](std::int64_t e, bool has2, __m512i (&s)[4]) {
+    const std::int32_t w0 = codes[e];
+    const std::int32_t w1 = has2 ? codes[e + 1] : 0;
+    const __m512i r0 = _mm512_loadu_si512(qx + row_off[cols[e]] + j0);
+    const __m512i r1 =
+        has2 ? _mm512_loadu_si512(qx + row_off[cols[e + 1]] + j0)
+             : _mm512_setzero_si512();
+    const __mmask64 neg = (w0 < 0 ? 0x5555555555555555ull : 0ull) |
+                          (w1 < 0 ? 0xAAAAAAAAAAAAAAAAull : 0ull);
+    const __m512i uabs = _mm512_set1_epi16(static_cast<short>(
+        ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i x_lo = _mm512_unpacklo_epi8(r0, r1);
+    const __m512i x_hi = _mm512_unpackhi_epi8(r0, r1);
+    const __m512i p_lo = _mm512_maddubs_epi16(
+        uabs, _mm512_mask_sub_epi8(x_lo, neg, zero, x_lo));
+    const __m512i p_hi = _mm512_maddubs_epi16(
+        uabs, _mm512_mask_sub_epi8(x_hi, neg, zero, x_hi));
+    s[0] = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_lo));
+    s[1] = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_lo, 1));
+    s[2] = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_hi));
+    s[3] = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_hi, 1));
+  };
   __m512 y[4];
   for (auto& v : y) v = _mm512_set1_ps(bias_v);
   for (std::int64_t si = s0; si < s1; ++si) {
     const QSegment& seg = segs[si];
+    // The first pair initialises the accumulators: HCK segments are one
+    // pair, so they skip the zero fill and the adds entirely.
     __m512i acc[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512()};
-    for (std::int64_t e = seg.begin; e < seg.end; e += 2) {
-      const std::int32_t w0 = codes[e];
-      const bool has2 = e + 1 < seg.end;
-      const std::int32_t w1 = has2 ? codes[e + 1] : 0;
-      const __m512i r0 = _mm512_loadu_si512(
-          qx + static_cast<std::int64_t>(cols[e]) * n + j0);
-      const __m512i r1 =
-          has2 ? _mm512_loadu_si512(
-                     qx + static_cast<std::int64_t>(cols[e + 1]) * n + j0)
-               : _mm512_setzero_si512();
-      const __m512i neg = _mm512_set1_epi16(
-          static_cast<short>(((w1 < 0 ? 0xFF : 0) << 8) | (w0 < 0 ? 0xFF : 0)));
-      const __m512i uabs = _mm512_set1_epi16(static_cast<short>(
-          ((w1 < 0 ? -w1 : w1) << 8) | (w0 < 0 ? -w0 : w0)));
-      const __m512i x_lo = _mm512_sub_epi8(
-          _mm512_xor_si512(_mm512_unpacklo_epi8(r0, r1), neg), neg);
-      const __m512i x_hi = _mm512_sub_epi8(
-          _mm512_xor_si512(_mm512_unpackhi_epi8(r0, r1), neg), neg);
-      const __m512i p_lo = _mm512_maddubs_epi16(uabs, x_lo);
-      const __m512i p_hi = _mm512_maddubs_epi16(uabs, x_hi);
-      acc[0] = _mm512_add_epi32(
-          acc[0], _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_lo)));
-      acc[1] = _mm512_add_epi32(
-          acc[1], _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_lo, 1)));
-      acc[2] = _mm512_add_epi32(
-          acc[2], _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p_hi)));
-      acc[3] = _mm512_add_epi32(
-          acc[3], _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p_hi, 1)));
+    if (seg.begin < seg.end) pair_sums(seg.begin, seg.begin + 1 < seg.end, acc);
+    for (std::int64_t e = seg.begin + 2; e < seg.end; e += 2) {
+      __m512i sums[4];
+      pair_sums(e, e + 1 < seg.end, sums);
+      for (int q = 0; q < 4; ++q) acc[q] = _mm512_add_epi32(acc[q], sums[q]);
     }
     const __m512 mv = _mm512_set1_ps(seg.scale * sx);
     for (int q = 0; q < 4; ++q) {
@@ -536,100 +602,66 @@ void s8_row_block64(const std::int32_t* cols, const std::int32_t* codes,
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
-                      float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8) {
-  constexpr std::int64_t kRowGrainI8 = 8;
+                      const std::int32_t* row_off, float sx, std::int64_t n,
+                      const float* bias, float* y, bool codes_fit_i8) {
+  constexpr std::int64_t kRowGrain = 8;
+  const auto bias_of = [&](std::int64_t r) {
+    return bias != nullptr ? bias[r] : 0.0f;
+  };
+  // Every (row, column block) output is computed by exactly one call with
+  // the same per-element sequence, so the loop order is bitwise-free: the
+  // column block runs outer so its activation bytes stay L1-hot across the
+  // rows of the chunk.
+  const auto dispatch = [&](const auto& row_chunk) {
+    if (rows * k * n < kMinParallelWork) {
+      row_chunk(0, rows);
+    } else {
+      parallel::parallel_for(0, rows, kRowGrain, row_chunk);
+    }
+  };
 #if defined(UPAQ_S8_VEC) && defined(__AVX2__)
   if (codes_fit_i8) {
-    auto row_block = [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        float* yrow = y + r * n;
-        const float bv = bias != nullptr ? bias[r] : 0.0f;
-        std::int64_t j0 = 0;
+    dispatch([&](std::int64_t r0, std::int64_t r1) {
+      std::int64_t j0 = 0;
 #if defined(__AVX512BW__)
-        for (; j0 + 64 <= n; j0 += 64)
+      for (; j0 + 64 <= n; j0 += 64)
+        for (std::int64_t r = r0; r < r1; ++r)
           s8_row_block64(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
-                         sx, n, j0, bv, yrow + j0);
+                         row_off, sx, j0, bias_of(r), y + r * n + j0);
 #endif
-        for (; j0 + 16 <= n; j0 += 16)
+      for (; j0 + 16 <= n; j0 += 16)
+        for (std::int64_t r = r0; r < r1; ++r)
           s8_row_block16(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
-                         sx, n, j0, bv, yrow + j0);
-        if (j0 < n) {
-          // Column tail (< 16): the scalar-order fused kernels replay the
-          // same bias-then-segments element sequence.
-          const std::int64_t nb = n - j0;
-          std::fill(yrow + j0, yrow + n, bv);
-          std::int32_t iacc[16];
-          for (std::int64_t si = row_segs[r]; si < row_segs[r + 1]; ++si) {
-            const QSegment& seg = segs[si];
-            const std::int64_t len = seg.end - seg.begin;
-            const float m = seg.scale * sx;
-            if (len <= 3) {
-              s8_fused_segment(cols + seg.begin, codes + seg.begin, len, qx, n,
-                               j0, nb, m, yrow + j0);
-            } else {
-              std::fill(iacc, iacc + nb, 0);
-              s8_segment_accumulate(cols + seg.begin, codes + seg.begin, len,
-                                    qx, n, j0, nb, iacc);
-              s8_requant_add(iacc, nb, m, yrow + j0);
-            }
-          }
-        }
+                         row_off, sx, j0, bias_of(r), y + r * n + j0);
+      if (j0 < n) {
+        // Column tail (< 16): the scalar-order fused kernels replay the same
+        // bias-then-segments element sequence.
+        std::int32_t iacc[16];
+        for (std::int64_t r = r0; r < r1; ++r)
+          s8_segment_block(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
+                           row_off, sx, j0, n - j0, bias_of(r), iacc,
+                           y + r * n + j0);
       }
-    };
-    if (rows * k * n < kMinParallelWork) {
-      row_block(0, rows);
-    } else {
-      parallel::parallel_for(0, rows, kRowGrainI8, row_block);
-    }
+    });
     return;
   }
 #else
   (void)codes_fit_i8;
-  (void)kRowGrainI8;
 #endif
-  // Column block of the generic (len >= 4) path: the int32 accumulator
-  // covers kColBlock outputs (2 KiB, L1-resident) instead of the whole
-  // feature map; the y block likewise stays L1-hot across a row's segments.
-  // Blocking is bitwise-free: int32 segment sums are exact and the
-  // per-element requantization order (segment order) does not depend on the
-  // column decomposition.
+  // Column block of the generic path: the int32 accumulator covers kColBlock
+  // outputs (2 KiB, L1-resident) instead of the whole feature map, and the y
+  // block stays L1-hot across a row's segments.
   constexpr std::int64_t kColBlock = 512;
-  constexpr std::int64_t kRowGrain = 8;
-  auto row_block = [&](std::int64_t r0, std::int64_t r1) {
+  dispatch([&](std::int64_t r0, std::int64_t r1) {
     workspace::Scope ws;
     std::int32_t* iacc = ws.i32(std::min(n, kColBlock));
-    for (std::int64_t r = r0; r < r1; ++r) {
-      float* yrow = y + r * n;
-      std::fill(yrow, yrow + n, bias != nullptr ? bias[r] : 0.0f);
-      for (std::int64_t j0 = 0; j0 < n; j0 += kColBlock) {
-        const std::int64_t nb = std::min(kColBlock, n - j0);
-        for (std::int64_t si = row_segs[r]; si < row_segs[r + 1]; ++si) {
-          const QSegment& seg = segs[si];
-          const std::int64_t len = seg.end - seg.begin;
-          const float m = seg.scale * sx;
-          const std::int32_t* wc = codes + seg.begin;
-          const std::int32_t* cc = cols + seg.begin;
-          float* yb = yrow + j0;
-          // UPAQ patterns keep 2 (HCK) or 3 (LCK) weights per kernel, so
-          // almost every segment is tiny: the fused kernels fold the integer
-          // sum and the requantization into one pass over the columns.
-          if (len <= 3) {
-            s8_fused_segment(cc, wc, len, qx, n, j0, nb, m, yb);
-          } else {
-            std::fill(iacc, iacc + nb, 0);
-            s8_segment_accumulate(cc, wc, len, qx, n, j0, nb, iacc);
-            s8_requant_add(iacc, nb, m, yb);
-          }
-        }
-      }
+    for (std::int64_t j0 = 0; j0 < n; j0 += kColBlock) {
+      const std::int64_t nb = std::min(kColBlock, n - j0);
+      for (std::int64_t r = r0; r < r1; ++r)
+        s8_segment_block(cols, codes, segs, row_segs[r], row_segs[r + 1], qx,
+                         row_off, sx, j0, nb, bias_of(r), iacc, y + r * n + j0);
     }
-  };
-  if (rows * k * n < kMinParallelWork) {
-    row_block(0, rows);
-  } else {
-    parallel::parallel_for(0, rows, kRowGrain, row_block);
-  }
+  });
 }
 
 void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
@@ -665,35 +697,37 @@ void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
 
 namespace {
 
-/// Packs a kc x nw int8 B slab (columns [jc, jc+nw), k-rows [pc, pc+kc))
-/// into kQNR-column panels, zero-padded to the panel width. Adjacent k-rows
+/// Packs a kc x nw int8 B slab (columns [jc, jc+nw), k-rows [pc, pc+kc);
+/// k-row p is the bytes at b + row_off[p]) into kQNR-column panels,
+/// zero-padded to the panel width. Adjacent k-rows
 /// are pair-interleaved ([b(p,j), b(p+1,j)] contiguous per column) so the
 /// micro-kernel's int16 multiply-add lanes line up with one plain load; an
 /// odd kc gets a zero-filled phantom row (exact integer no-op).
-void q8_pack_b_slab(std::int8_t* dst, const std::int8_t* b, std::int64_t n,
-                    std::int64_t pc, std::int64_t kc, std::int64_t jc,
-                    std::int64_t nw) {
+void q8_pack_b_slab(std::int8_t* dst, const std::int8_t* b,
+                    const std::int32_t* row_off, std::int64_t pc,
+                    std::int64_t kc, std::int64_t jc, std::int64_t nw) {
   const std::int64_t jpanels = (nw + kQNR - 1) / kQNR;
   const std::int64_t kcp = round_up(kc, 2);
   for (std::int64_t jp = 0; jp < jpanels; ++jp) {
     std::int8_t* panel = dst + jp * kcp * kQNR;
     const std::int64_t jv = std::min(kQNR, nw - jp * kQNR);
-    const std::int8_t* src0 = b + pc * n + jc + jp * kQNR;
+    const std::int8_t* src0 = b + jc + jp * kQNR;
+    const std::int32_t* off = row_off + pc;
 #if defined(UPAQ_S8_VEC) && defined(__AVX2__)
     if (jv == kQNR) {
       // Full-width panel: interleave two 8-byte k-rows with one unpack
       // instead of 16 strided byte stores.
       for (std::int64_t p = 0; p + 1 < kc; p += 2) {
         const __m128i lo = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + p * n));
+            reinterpret_cast<const __m128i*>(src0 + off[p]));
         const __m128i hi = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (p + 1) * n));
+            reinterpret_cast<const __m128i*>(src0 + off[p + 1]));
         _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + (p >> 1) * 16),
                          _mm_unpacklo_epi8(lo, hi));
       }
       if (kc & 1) {  // odd tail k-row paired with a zero phantom row
         const __m128i lo = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + (kc - 1) * n));
+            reinterpret_cast<const __m128i*>(src0 + off[kc - 1]));
         _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + (kc >> 1) * 16),
                          _mm_unpacklo_epi8(lo, _mm_setzero_si128()));
       }
@@ -701,7 +735,7 @@ void q8_pack_b_slab(std::int8_t* dst, const std::int8_t* b, std::int64_t n,
     }
 #endif
     for (std::int64_t p = 0; p < kc; ++p) {
-      const std::int8_t* src = src0 + p * n;
+      const std::int8_t* src = src0 + off[p];
       std::int8_t* row = panel + (p >> 1) * 2 * kQNR + (p & 1);
       for (std::int64_t jr = 0; jr < jv; ++jr) row[2 * jr] = src[jr];
       for (std::int64_t jr = jv; jr < kQNR; ++jr) row[2 * jr] = 0;
@@ -897,8 +931,9 @@ void q8_micro_tile(const std::int8_t* ap, const std::int8_t* bp,
 
 }  // namespace
 
-void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y) {
+void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
+                   const std::int32_t* row_off, float sx, std::int64_t n,
+                   float* y) {
   const std::int64_t m = w.m, k = w.k, slab = w.slab;
   const std::int64_t mpad = round_up(m, kQMR);
   const std::int64_t row_panels = mpad / kQMR;
@@ -914,7 +949,7 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
       for (std::int64_t pc = 0; pc < k; pc += slab) {
         const std::int64_t kc = std::min(slab, k - pc);
         const std::int64_t kcp = round_up(kc, 2);
-        q8_pack_b_slab(bp, qx, n, pc, kc, jc, nw);
+        q8_pack_b_slab(bp, qx, row_off, pc, kc, jc, nw);
         // All slabs before this one are full (kc == slab), so their padded
         // depth is slab_pad — mirrors q8_pack_a's running offset.
         const std::int8_t* aslab =
@@ -946,6 +981,15 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
   }
 }
 
+// The AVX-512 masked and narrowing intrinsics below seed their pass-through
+// operand from a deliberately undefined register, which GCC 12's
+// -W(maybe-)uninitialized misreports (as for the 64-column segment block).
+#if defined(__AVX512F__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
 namespace {
 
 /// Exact abs-max of a range. Max is associative, commutative, and rounds
@@ -953,156 +997,333 @@ namespace {
 /// scalar sweep for any finite input.
 float abs_max_range(const float* src, std::int64_t i0, std::int64_t i1) {
   float a = 0.0f;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
+  std::int64_t i = i0;
+#if defined(UPAQ_S8_VEC) && defined(__AVX512F__)
+  __m512 acc = _mm512_setzero_ps();
+  for (; i + 16 <= i1; i += 16)
+    acc = _mm512_max_ps(acc, _mm512_abs_ps(_mm512_loadu_ps(src + i)));
+  if (i < i1) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (i1 - i)) - 1u);
+    acc = _mm512_max_ps(acc, _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, src + i)));
+    i = i1;
+  }
+  a = _mm512_reduce_max_ps(acc);
+#elif defined(UPAQ_S8_VEC) && defined(__AVX2__)
   // GCC will not vectorize float max reductions without -ffast-math, so
   // spell out the lanes (the reduction is exact either way).
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   __m256 acc = _mm256_setzero_ps();
-  std::int64_t i = i0;
   for (; i + 8 <= i1; i += 8)
     acc = _mm256_max_ps(acc, _mm256_and_ps(absmask, _mm256_loadu_ps(src + i)));
   alignas(32) float lanes[8];
   _mm256_store_ps(lanes, acc);
   for (float l : lanes) a = std::max(a, l);
-  for (; i < i1; ++i) a = std::max(a, std::fabs(src[i]));
-#else
-  for (std::int64_t i = i0; i < i1; ++i) a = std::max(a, std::fabs(src[i]));
 #endif
+  for (; i < i1; ++i) a = std::max(a, std::fabs(src[i]));
   return a;
+}
+
+/// Abs-max with chunked partials: max is exact and order-independent, so
+/// combining per-chunk maxima gives the same alpha at any thread count.
+float abs_max(const float* src, std::int64_t n) {
+  if (n < kMinParallelWork) return abs_max_range(src, 0, n);
+  const std::int64_t chunks = (n + kMinParallelWork - 1) / kMinParallelWork;
+  std::vector<float> partial(static_cast<std::size_t>(chunks), 0.0f);
+  parallel::parallel_for(
+      0, n, kMinParallelWork, [&](std::int64_t i0, std::int64_t i1) {
+        partial[static_cast<std::size_t>(i0 / kMinParallelWork)] =
+            abs_max_range(src, i0, i1);
+      });
+  float alpha = 0.0f;
+  for (float a : partial) alpha = std::max(alpha, a);
+  return alpha;
+}
+
+/// The symmetric grid of a nonzero abs-max: scale = alpha / (2^(bits-1) - 1),
+/// with the reciprocal and clamp bound the converter uses.
+struct S8Grid {
+  float scale, inv, maxv;
+};
+
+S8Grid s8_grid(float alpha, int bits) {
+  const double max_value = std::pow(2.0, bits - 1) - 1.0;
+  const float scale = static_cast<float>(alpha / max_value);
+  return {scale, 1.0f / scale, static_cast<float>(max_value)};
+}
+
+/// Codes of src[0, n) into dst[0, n): one multiply + clamp + round-half-away
+/// per element, all in float so the loop stays in SIMD registers. Clamping
+/// first bounds the value, so the truncating cast is exact. Each element is
+/// touched exactly once — the codes cannot depend on vector width or on how
+/// callers split the range.
+void s8_convert(const float* src, std::int64_t n, const S8Grid& g,
+                std::int8_t* dst) {
+  std::int64_t i = 0;
+#if defined(UPAQ_S8_VEC) && defined(__AVX512F__)
+  // Sixteen lanes of the sequence below; the row tail runs masked, so the
+  // short rows of the plane build (8..64 floats) take no scalar steps.
+  // vpmovdb truncates, which is exact because the clamp bounds every lane.
+  const __m512 vinv16 = _mm512_set1_ps(g.inv);
+  const __m512 vmax16 = _mm512_set1_ps(g.maxv);
+  const __m512 vmin16 = _mm512_set1_ps(-g.maxv);
+  const __m512i half16 = _mm512_castps_si512(_mm512_set1_ps(0.5f));
+  const __m512i sign16 =
+      _mm512_set1_epi32(static_cast<std::int32_t>(0x80000000));
+  const auto codes16 = [&](__m512 x) {
+    __m512 v = _mm512_mul_ps(x, vinv16);
+    v = _mm512_min_ps(_mm512_max_ps(v, vmin16), vmax16);
+    const __m512 h = _mm512_castsi512_ps(
+        _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(v), sign16),
+                        half16));
+    return _mm512_cvttps_epi32(_mm512_add_ps(v, h));
+  };
+  for (; i + 16 <= n; i += 16)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm512_cvtepi32_epi8(codes16(_mm512_loadu_ps(src + i))));
+  if (i < n) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_cvtepi32_storeu_epi8(
+        dst + i, tail, codes16(_mm512_maskz_loadu_ps(tail, src + i)));
+  }
+  return;
+#elif defined(UPAQ_S8_VEC) && defined(__AVX2__)
+  // Same per-element sequence as the scalar tail below — multiply, clamp,
+  // add copysign(0.5), truncate — just eight lanes at a time (GCC keeps
+  // this loop scalar on its own because of the int8 narrowing store). The
+  // clamp bounds every lane inside int8 range, so the saturating packs
+  // never saturate and the narrowing is exact.
+  const __m256 vinv = _mm256_set1_ps(g.inv);
+  const __m256 vmax = _mm256_set1_ps(g.maxv);
+  const __m256 vmin = _mm256_set1_ps(-g.maxv);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 signmask = _mm256_castsi256_ps(
+      _mm256_set1_epi32(static_cast<std::int32_t>(0x80000000)));
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
+    v = _mm256_min_ps(_mm256_max_ps(v, vmin), vmax);
+    const __m256 h = _mm256_or_ps(_mm256_and_ps(v, signmask), half);
+    const __m256i q = _mm256_cvttps_epi32(_mm256_add_ps(v, h));
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packs_epi16(w, w));
+  }
+#endif
+  for (; i < n; ++i) {
+    float v = src[i] * g.inv;
+    v = std::min(std::max(v, -g.maxv), g.maxv);
+    // Round half away from zero via a truncating cast; copysign keeps the
+    // loop branch-free.
+    dst[i] = static_cast<std::int8_t>(
+        static_cast<std::int32_t>(v + std::copysign(0.5f, v)));
+  }
+}
+
+#if defined(__AVX512F__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// Scatters one converted input row (w codes) into its phase-plane rows for
+/// stride s: input column ix = s*t + r lands in phase b = (r + pad) % s at
+/// column t + (r + pad) / s, so each residue r is one contiguous run of the
+/// row of phase b, which starts at prow + b * plane.
+void s8_scatter_phases(const std::int8_t* codes, std::int64_t w, int s,
+                       int pad, std::int64_t plane, std::int8_t* prow) {
+  const auto run = [&](int r) {
+    return prow + ((r + pad) % s) * plane + (r + pad) / s;
+  };
+  if (s != 2) {
+    for (int r = 0; r < s && r < w; ++r) {
+      std::int8_t* d = run(r);
+      for (std::int64_t ix = r; ix < w; ix += s) *d++ = codes[ix];
+    }
+    return;
+  }
+  // Stride 2 (the downsampling convs): both residues at once.
+  std::int8_t* even = run(0);
+  std::int8_t* odd = run(1);
+  std::int64_t t = 0;
+#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
+  // Split 16 codes into 8 evens (low half) and 8 odds (high half).
+  const __m128i split =
+      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+  for (; 2 * t + 16 <= w; t += 8) {
+    const __m128i v = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 2 * t)),
+        split);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(even + t), v);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(odd + t),
+                     _mm_unpackhi_epi64(v, v));
+  }
+#endif
+  for (; 2 * t < w; ++t) {
+    even[t] = codes[2 * t];
+    if (2 * t + 1 < w) odd[t] = codes[2 * t + 1];
+  }
 }
 
 }  // namespace
 
 float s8_quantize(const float* src, std::int64_t n, int bits,
                   std::int8_t* dst) {
-  // Abs-max with chunked partials: max is exact and order-independent, so
-  // combining per-chunk maxima gives the same alpha at any thread count.
-  float alpha = 0.0f;
-  if (n < kMinParallelWork) {
-    alpha = abs_max_range(src, 0, n);
-  } else {
-    const std::int64_t chunks = (n + kMinParallelWork - 1) / kMinParallelWork;
-    std::vector<float> partial(static_cast<std::size_t>(chunks), 0.0f);
-    parallel::parallel_for(0, n, kMinParallelWork,
-                           [&](std::int64_t i0, std::int64_t i1) {
-                             partial[static_cast<std::size_t>(
-                                 i0 / kMinParallelWork)] =
-                                 abs_max_range(src, i0, i1);
-                           });
-    for (float a : partial) alpha = std::max(alpha, a);
-  }
+  const float alpha = abs_max(src, n);
   if (alpha == 0.0f) {
     // Caller scratch (workspace arena) is not pre-zeroed, so fill explicitly.
     std::fill(dst, dst + n, static_cast<std::int8_t>(0));
     return 1.0f;
   }
-
-  const double max_value = std::pow(2.0, bits - 1) - 1.0;
-  const float scale = static_cast<float>(alpha / max_value);
-  // One multiply + clamp + round-half-away per element, all in float so the
-  // loop stays in SIMD registers. Clamping first bounds the value, so the
-  // truncating cast is exact. Each element is touched exactly once — the
-  // codes cannot depend on vector width or thread count.
-  const float inv = 1.0f / scale;
-  const float maxv = static_cast<float>(max_value);
+  const S8Grid g = s8_grid(alpha, bits);
   auto convert = [&](std::int64_t i0, std::int64_t i1) {
-    std::int64_t i = i0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-    // Same per-element sequence as the scalar tail below — multiply, clamp,
-    // add copysign(0.5), truncate — just eight lanes at a time (GCC keeps
-    // this loop scalar on its own because of the int8 narrowing store). The
-    // clamp bounds every lane inside int8 range, so the saturating packs
-    // never saturate and the narrowing is exact.
-    const __m256 vinv = _mm256_set1_ps(inv);
-    const __m256 vmax = _mm256_set1_ps(maxv);
-    const __m256 vmin = _mm256_set1_ps(-maxv);
-    const __m256 half = _mm256_set1_ps(0.5f);
-    const __m256 signmask = _mm256_castsi256_ps(_mm256_set1_epi32(
-        static_cast<std::int32_t>(0x80000000)));
-    for (; i + 8 <= i1; i += 8) {
-      __m256 v = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
-      v = _mm256_min_ps(_mm256_max_ps(v, vmin), vmax);
-      const __m256 h = _mm256_or_ps(_mm256_and_ps(v, signmask), half);
-      const __m256i q = _mm256_cvttps_epi32(_mm256_add_ps(v, h));
-      const __m128i w =
-          _mm_packs_epi32(_mm256_castsi256_si128(q),
-                          _mm256_extracti128_si256(q, 1));
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_packs_epi16(w, w));
-    }
-#endif
-    for (; i < i1; ++i) {
-      float v = src[i] * inv;
-      v = std::min(std::max(v, -maxv), maxv);
-      // Round half away from zero via a truncating cast; copysign keeps the
-      // loop branch-free.
-      dst[i] = static_cast<std::int8_t>(
-          static_cast<std::int32_t>(v + std::copysign(0.5f, v)));
-    }
+    s8_convert(src + i0, i1 - i0, g, dst + i0);
   };
   if (n < kMinParallelWork) {
     convert(0, n);
   } else {
     parallel::parallel_for(0, n, kMinParallelWork, convert);
   }
-  return scale;
+  return g.scale;
 }
 
 namespace {
 
-// Gathers one im2col row (one channel + kernel offset (ky, kx)) into `dst`
-// (oh*ow codes): per output row, zero the out-of-bounds flanks and copy the
-// in-bounds interior with no per-element bounds checks (memcpy at stride 1,
-// a tight strided gather otherwise).
-void s8_im2col_row(const std::int8_t* in, std::int64_t ch, std::int64_t h,
-                   std::int64_t w, int ky, int kx, int stride, int pad,
-                   std::int64_t oh, std::int64_t ow, std::int8_t* dst) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    const std::int64_t iy = oy * stride - pad + ky;
-    std::int8_t* drow = dst + oy * ow;
-    if (iy < 0 || iy >= h) {
-      std::memset(drow, 0, static_cast<std::size_t>(ow));
-      continue;
+/// Byte offset of tap (ky, kx) of channel ch in the planes of `l`.
+std::int64_t tap_offset(const PlaneLayout& l, std::int64_t ch, int ky, int kx) {
+  const int s = l.stride;
+  return ((ch * s + ky % s) * s + kx % s) * l.plane + (ky / s) * l.wq + kx / s;
+}
+
+}  // namespace
+
+PlaneLayout plane_layout(std::int64_t c, std::int64_t h, std::int64_t w,
+                         int k, int stride, int pad) {
+  UPAQ_CHECK(c > 0 && h > 0 && w > 0 && k > 0 && stride > 0 && pad >= 0,
+             "plane_layout: bad conv geometry");
+  PlaneLayout l;
+  l.c = c;
+  l.h = h;
+  l.w = w;
+  l.k = k;
+  l.stride = stride;
+  l.pad = pad;
+  const std::int64_t hp = h + 2 * pad, wp = w + 2 * pad;
+  UPAQ_CHECK(hp >= k && wp >= k, "plane_layout: kernel larger than the map");
+  l.oh = (hp - k) / stride + 1;
+  l.ow = (wp - k) / stride + 1;
+  l.hq = (hp + stride - 1) / stride;
+  l.wq = (wp + stride - 1) / stride;
+  l.plane = l.hq * l.wq;
+  l.n = l.oh * l.wq;
+  l.planes_bytes = c * stride * stride * l.plane;
+  // The largest offset belongs to the last channel; which of its taps
+  // depends on the phase split, so try them all.
+  std::int64_t max_row_off = 0;
+  for (int ky = 0; ky < k; ++ky)
+    for (int kx = 0; kx < k; ++kx)
+      max_row_off = std::max(max_row_off, tap_offset(l, c - 1, ky, kx));
+  l.bytes = std::max(l.planes_bytes, max_row_off + l.n);
+  // The kernels address activation rows with int32 offsets.
+  UPAQ_CHECK(l.bytes <= std::numeric_limits<std::int32_t>::max(),
+             "plane_layout: plane buffer exceeds int32 offsets");
+  return l;
+}
+
+void plane_row_offsets(const PlaneLayout& l, std::int32_t* row_off) {
+  for (std::int64_t ch = 0; ch < l.c; ++ch)
+    for (int ky = 0; ky < l.k; ++ky)
+      for (int kx = 0; kx < l.k; ++kx)
+        *row_off++ = static_cast<std::int32_t>(tap_offset(l, ch, ky, kx));
+}
+
+float s8_quantize_planes(const float* src, const PlaneLayout& l, int bits,
+                         std::int8_t* dst) {
+  const std::int64_t h = l.h, w = l.w, hw = h * w;
+  const float alpha = abs_max(src, l.c * hw);
+  if (alpha == 0.0f) {
+    std::memset(dst, 0, static_cast<std::size_t>(l.bytes));
+    return 1.0f;
+  }
+  const S8Grid g = s8_grid(alpha, bits);
+  const int s = l.stride, pad = l.pad;
+  const std::int64_t ch_bytes = s * s * l.plane;
+  auto fill = [&](std::int64_t c0, std::int64_t c1) {
+    workspace::Scope ws;
+    std::int8_t* row = s > 1 ? ws.i8(w) : nullptr;
+    for (std::int64_t ch = c0; ch < c1; ++ch) {
+      std::int8_t* planes = dst + ch * ch_bytes;
+      if (s == 1 && pad == 0) {  // one unpadded phase: the plane is the map
+        s8_convert(src + ch * hw, hw, g, planes);
+        continue;
+      }
+      std::memset(planes, 0, static_cast<std::size_t>(ch_bytes));
+      for (std::int64_t iy = 0; iy < h; ++iy) {
+        const float* xrow = src + ch * hw + iy * w;
+        // Padded row iy + pad is row (iy + pad) / s of phase row a.
+        const std::int64_t py = iy + pad;
+        std::int8_t* prow = planes + (py % s) * s * l.plane + (py / s) * l.wq;
+        if (s == 1) {
+          s8_convert(xrow, w, g, prow + pad);
+        } else {
+          s8_convert(xrow, w, g, row);
+          s8_scatter_phases(row, w, s, pad, l.plane, prow);
+        }
+      }
     }
-    const std::int8_t* src = in + (ch * h + iy) * w;
-    // In-bounds ox range for ix = ox * stride + off.
-    const std::int64_t off = kx - pad;
-    const std::int64_t x0 = std::clamp<std::int64_t>(
-        off < 0 ? (-off + stride - 1) / stride : 0, 0, ow);
-    const std::int64_t x1 =
-        std::clamp<std::int64_t>((w - off + stride - 1) / stride, x0, ow);
-    if (x0 > 0) std::memset(drow, 0, static_cast<std::size_t>(x0));
-    if (stride == 1) {
-      if (x1 > x0)
-        std::memcpy(drow + x0, src + x0 + off,
-                    static_cast<std::size_t>(x1 - x0));
-    } else {
-      const std::int8_t* s = src + x0 * stride + off;
-      for (std::int64_t ox = x0; ox < x1; ++ox, s += stride) drow[ox] = *s;
+  };
+  if (l.c * hw < kMinParallelWork) {
+    fill(0, l.c);
+  } else {
+    parallel::parallel_for(0, l.c, std::max<std::int64_t>(1, kMinParallelWork / hw),
+                           fill);
+  }
+  std::memset(dst + l.planes_bytes, 0,
+              static_cast<std::size_t>(l.bytes - l.planes_bytes));
+  return g.scale;
+}
+
+namespace {
+
+/// nn::Relu::apply's select, v < 0 ? v * slope : v, as a bit select.
+inline float relu_select(float v, float slope) {
+  const float scaled = v * slope;
+  return v < 0.0f ? scaled : v;
+}
+
+template <bool Relu>
+void bn_eval_plane(const float* src, std::int64_t count, float g, float mean,
+                   float inv_std, float beta, float slope, float* dst) {
+  std::int64_t i = 0;
+#ifdef UPAQ_S8_VEC
+  for (; i + 8 <= count; i += 8) {
+    v8sf v;
+    __builtin_memcpy(&v, src + i, sizeof(v));
+    v8sf t = g * (v - mean) * inv_std;
+    UPAQ_NO_CONTRACT(t);
+    v = t + beta;
+    if constexpr (Relu) {
+      const v8si neg = v < v8sf{};
+      const v8sf scaled = v * slope;
+      v = (v8sf)(((v8si)scaled & neg) | ((v8si)v & ~neg));
     }
-    if (x1 < ow) std::memset(drow + x1, 0, static_cast<std::size_t>(ow - x1));
+    __builtin_memcpy(dst + i, &v, sizeof(v));
+  }
+#endif
+  for (; i < count; ++i) {
+    float t = g * (src[i] - mean) * inv_std;
+    UPAQ_NO_CONTRACT(t);
+    const float v = t + beta;
+    dst[i] = Relu ? relu_select(v, slope) : v;
   }
 }
 
 }  // namespace
 
-void s8_im2col(const std::int8_t* in, std::int64_t c, std::int64_t h,
-               std::int64_t w, int k, int stride, int pad, std::int64_t oh,
-               std::int64_t ow, std::int8_t* out) {
-  const std::int64_t rows = c * k * k;
-  auto fill_rows = [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t row = r0; row < r1; ++row) {
-      const std::int64_t ch = row / (k * k);
-      const int ky = static_cast<int>((row / k) % k);
-      const int kx = static_cast<int>(row % k);
-      s8_im2col_row(in, ch, h, w, ky, kx, stride, pad, oh, ow,
-                    out + row * oh * ow);
-    }
-  };
-  if (rows * oh * ow < kMinParallelWork) {
-    fill_rows(0, rows);
+void f32_bn_eval(const float* src, std::int64_t count, float g, float mean,
+                 float inv_std, float beta, bool relu, float slope,
+                 float* dst) {
+  if (relu) {
+    bn_eval_plane<true>(src, count, g, mean, inv_std, beta, slope, dst);
   } else {
-    parallel::parallel_for(0, rows, 4, fill_rows);
+    bn_eval_plane<false>(src, count, g, mean, inv_std, beta, slope, dst);
   }
 }
 

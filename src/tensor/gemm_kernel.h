@@ -23,6 +23,10 @@
 //
 // All scratch (panel packs) comes from workspace::Scope — steady-state calls
 // allocate nothing.
+//
+// The TU also hosts the packed path's other hot loops for its -march=native
+// codegen: the int8 activation quantizer, the zero-padded plane build the
+// packed conv reads its taps from (PlaneLayout), and the eval BatchNorm.
 #pragma once
 
 #include <cstdint>
@@ -75,35 +79,6 @@ void gemm_packed(const PackedA& a, const float* b, float* c, std::int64_t n,
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, float alpha);
 
-/// Column-blocked int32-accumulate helper for the qnn segment GEMM: for the
-/// entry list {(cols[e], codes[e])}, e in [0, len), accumulates
-///   acc[j] += codes[e] * qx[cols[e] * ldq + j0 + j]   for j in [0, nb)
-/// into the caller's int32 block accumulator. Exact integer arithmetic —
-/// bitwise identical to the unblocked sweep for any block decomposition.
-void s8_segment_accumulate(const std::int32_t* cols, const std::int32_t* codes,
-                           std::int64_t len, const std::int8_t* qx,
-                           std::int64_t ldq, std::int64_t j0, std::int64_t nb,
-                           std::int32_t* acc);
-
-/// Fused short-segment kernel for the qnn segment GEMM (UPAQ patterns keep
-/// 1..3 weights per kernel): for the `len` (1..3) entries {(cols[e],
-/// codes[e])} computes, per column j in [0, nb),
-///   t = m * float(sum_e codes[e] * qx[cols[e] * ldq + j0 + j]);  yb[j] += t
-/// The integer dot is exact; the requantization is exactly one float multiply
-/// followed by one float add per element (spelled as two statements so the
-/// compiler cannot contract them differently between the vector body and the
-/// scalar tail) — so the result is independent of the vector width.
-void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
-                      std::int64_t len, const std::int8_t* qx, std::int64_t ldq,
-                      std::int64_t j0, std::int64_t nb, float m, float* yb);
-
-/// Requantize-and-add flush of an int32 accumulator block: per j in [0, nb),
-///   t = m * float(acc[j]);  yb[j] += t
-/// The same one-multiply-one-add element sequence as s8_fused_segment and the
-/// panel kernel's flush, so every integer path requantizes identically.
-void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
-                    float* yb);
-
 /// One scale segment of a packed weight row: entries [begin, end) of the
 /// qnn entry lists share the weight scale `scale`.
 struct QSegment {
@@ -114,10 +89,15 @@ struct QSegment {
 /// The whole segment-path integer GEMM (qnn::PackedGemm's sparse branch):
 /// y(rows, n) = requant(Wq * Xq) + bias over the entry lists, column-blocked
 /// with the fused 1/2/3-entry kernels and the generic int32-accumulate path.
-/// Per output element the operation order is: bias fill, then one
-/// requantizing multiply-add per segment in ascending segment order — the
-/// invariant every other integer path reproduces. Parallel over row blocks
-/// (disjoint outputs, shape-only gating), so thread-count independent.
+/// Activation row p (the k index of an entry column) is the n bytes at
+/// qx + row_off[p]: a plain row-major (k, n) matrix passes row_off[p] = p*n,
+/// the packed conv passes its plane offsets (see PlaneLayout). Per output
+/// element the operation order is: bias fill, then one requantizing
+/// multiply-add per segment in ascending segment order — the invariant every
+/// other integer path reproduces. Parallel over row chunks (disjoint
+/// outputs, shape-only gating), so thread-count independent; within a chunk
+/// the column block is the outer loop, so one block of activation bytes
+/// serves every row of the chunk while it is L1-hot.
 ///
 /// `codes_fit_i8` (every |code| <= 127, i.e. weight bits <= 8) unlocks the
 /// vpmaddubsw 2-MACs/lane sub-byte kernel: entry pairs multiply as
@@ -131,8 +111,8 @@ struct QSegment {
 void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const QSegment* segs, const std::int64_t* row_segs,
                       std::int64_t rows, std::int64_t k, const std::int8_t* qx,
-                      float sx, std::int64_t n, const float* bias, float* y,
-                      bool codes_fit_i8 = false);
+                      const std::int32_t* row_off, float sx, std::int64_t n,
+                      const float* bias, float* y, bool codes_fit_i8 = false);
 
 // ---------------------------------------------------------------------------
 // Panel-packed int8 GEMM (the dense-ish branch of the qnn integer path).
@@ -191,11 +171,13 @@ struct QPanelA {
 void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
                std::int64_t slab, QPanelA& out);
 
-/// y(m, n) += requant(Wq * Xq) over a panel-packed weight: qx is the (k, n)
-/// row-major int8 activation matrix, sx its scale; y must already hold the
-/// bias fill. Parallel grain: one kQNC column stripe per chunk.
-void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
-                   std::int64_t n, float* y);
+/// y(m, n) += requant(Wq * Xq) over a panel-packed weight: activation row p
+/// is the n bytes at qx + row_off[p] (s8_gemm_segments' convention), sx the
+/// activation scale; y must already hold the bias fill. Parallel grain: one
+/// kQNC column stripe per chunk.
+void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
+                   const std::int32_t* row_off, float sx, std::int64_t n,
+                   float* y);
 
 /// Symmetric activation quantization core (the hot half of
 /// qnn::quantize_acts_into, hosted here for the kernel TU's codegen):
@@ -206,12 +188,58 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx, float sx,
 /// identical at any vector width or thread count.
 float s8_quantize(const float* src, std::int64_t n, int bits, std::int8_t* dst);
 
-/// int8 im2col gather (the hot half of qnn's im2col, hosted here for the
-/// kernel TU's codegen): pure byte moves — out-of-bounds taps become code 0,
-/// interior runs of stride-1 rows collapse to memcpy. Bitwise trivially
-/// deterministic. `out` must hold (c*k*k, oh*ow) codes.
-void s8_im2col(const std::int8_t* in, std::int64_t c, std::int64_t h,
-               std::int64_t w, int k, int stride, int pad, std::int64_t oh,
-               std::int64_t ow, std::int8_t* out);
+/// Zero-padded int8 activation planes: what the packed conv feeds the two
+/// GEMM kernels instead of an im2col matrix. For a k x k conv with stride s
+/// and pad p over a (c, h, w) map:
+///   - the padded map (hp = h + 2p, wp = w + 2p) is split into s x s phase
+///     planes; phase (a, b) holds padded positions (s*y + a, s*x + b), so it
+///     has hq = ceil(hp / s) rows of wq = ceil(wp / s) bytes. Stride 1 has
+///     one phase: the padded map itself.
+///   - channel ch's phases are contiguous, phase (a, b) of channel ch at
+///     byte ((ch*s + a)*s + b) * plane, plane = hq * wq.
+///   - the GEMM runs over the padded-width output grid: output (oy, ox) is
+///     column oy*wq + ox, n = oh*wq. Columns with ox >= ow are computed and
+///     discarded (the caller copies the ow valid columns of each row).
+///   - im2col row r = (ch*k + ky)*k + kx, the tap (ky, kx) of channel ch, is
+///     then a constant offset:
+///       row_off[r] = ((ch*s + ky%s)*s + kx%s) * plane + (ky/s)*wq + kx/s
+///     and the kernels read its n bytes at planes + row_off[r].
+/// Footprint: `bytes` = max(planes_bytes, max_r row_off[r] + n). Past the
+/// last plane sits the slack that the discarded columns of the final output
+/// rows read; it is zero-filled. The kernels never read outside [0, bytes),
+/// vector blocks included, so an exactly sized buffer is enough.
+struct PlaneLayout {
+  std::int64_t c = 0, h = 0, w = 0;
+  int k = 1, stride = 1, pad = 0;
+  std::int64_t oh = 0, ow = 0;
+  std::int64_t hq = 0, wq = 0;       ///< phase-plane rows and row bytes
+  std::int64_t plane = 0;            ///< bytes per phase plane, hq * wq
+  std::int64_t n = 0;                ///< GEMM grid columns, oh * wq
+  std::int64_t planes_bytes = 0;     ///< c * s * s * plane
+  std::int64_t bytes = 0;            ///< planes + slack
+};
+
+/// The layout of a conv input. Checks that every byte offset fits int32.
+PlaneLayout plane_layout(std::int64_t c, std::int64_t h, std::int64_t w,
+                         int k, int stride, int pad);
+
+/// Writes the c*k*k row offsets (im2col row order) of `l` into row_off.
+void plane_row_offsets(const PlaneLayout& l, std::int32_t* row_off);
+
+/// Quantizes the (c, h, w) float map at `src` into l.bytes zero-padded
+/// phase-plane bytes at `dst` and returns the scale. The scale and every
+/// code equal s8_quantize's over the same map: the same abs-max, and per
+/// element the same multiply, clamp and round-half-away cast; padding and
+/// slack are code 0, which is what quantizing a padded float zero gives.
+float s8_quantize_planes(const float* src, const PlaneLayout& l, int bits,
+                         std::int8_t* dst);
+
+/// Eval-mode batch norm of one channel plane, optionally with the ReLU
+/// select: per element
+///   v = g * (x - mean) * inv_std + beta,  then  v < 0 ? v * slope : v
+/// with exactly those roundings (the product is pinned before the add, so
+/// no FMA contraction at any vector width). `dst` may alias `src`.
+void f32_bn_eval(const float* src, std::int64_t count, float g, float mean,
+                 float inv_std, float beta, bool relu, float slope, float* dst);
 
 }  // namespace upaq::gemm

@@ -1,11 +1,13 @@
 // NN framework tests: analytic backward passes are validated against finite
 // differences for every layer, plus module/state-dict behaviour, mask
 // semantics, the concat/split helpers, and the in-place eval epilogue
-// (bitwise equal to layer-by-layer forward; training untouched).
+// (bitwise equal to layer-by-layer forward; training untouched) and the
+// vectorised eval BN (bitwise equal to the scalar expression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <set>
 
@@ -169,6 +171,65 @@ TEST(BatchNorm2d, GradCheck) {
   nn::BatchNorm2d bn(2, rng, "bn");
   gradcheck_layer(bn, Tensor::uniform({2, 2, 3, 3}, rng, -2.0f, 2.0f), rng,
                   5e-2);
+}
+
+TEST(BatchNorm2d, EvalMatchesScalarReferenceBitwise) {
+  // The eval path (forward, and forward_inplace_relu's fused epilogue) is a
+  // vector loop in the kernel TU. It must equal the scalar per-element
+  // expression g * (v - mean) * inv_std + beta, then Relu::apply, bit for
+  // bit: no FMA contraction, the same rounding order, -0.0 and the leaky
+  // slope kept. Plane sizes straddle the vector widths (1, 15, 17, 49, 63).
+  Rng rng(12);
+  const std::int64_t c = 5;
+  for (const auto& hw : {std::pair<int, int>{1, 1}, {3, 5}, {1, 17}, {7, 7},
+                         {9, 7}}) {
+    for (const float slope : {0.0f, 0.1f}) {
+      nn::BatchNorm2d bn(c, rng, "bn");
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        bn.gamma().value[ch] = rng.uniform(-2.0f, 2.0f);
+        bn.beta().value[ch] = rng.uniform(-1.0f, 1.0f);
+        bn.running_mean()[ch] = rng.uniform(-0.5f, 0.5f);
+        bn.running_var()[ch] = rng.uniform(0.01f, 3.0f);
+      }
+      // Channel 0 maps every input to beta = -0.0 (gamma 0), exercising
+      // the sign of zero through the ReLU select.
+      bn.gamma().value[0] = 0.0f;
+      bn.beta().value[0] = -0.0f;
+      bn.set_training(false);
+      nn::Relu relu("relu", slope);
+      relu.set_training(false);
+
+      Tensor x = Tensor::uniform({2, c, hw.first, hw.second}, rng, -3.0f, 3.0f);
+      for (std::int64_t i = 0; i < x.numel(); i += 4) x[i] = -0.0f;
+
+      // The pre-vectorisation scalar expression, verbatim.
+      Tensor want_bn(x.shape()), want_relu(x.shape());
+      const std::int64_t plane = hw.first * hw.second;
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        const std::int64_t ch = (i / plane) % c;
+        const float inv_std =
+            1.0f / std::sqrt(bn.running_var()[ch] + 1e-5f);
+        const float g = bn.gamma().value[ch], bta = bn.beta().value[ch];
+        const float mean = bn.running_mean()[ch];
+        const float v = g * (x[i] - mean) * inv_std + bta;
+        want_bn[i] = v;
+        want_relu[i] = nn::Relu::apply(v, slope);
+      }
+
+      const Tensor got_bn = bn.forward(x);
+      Tensor got_relu = x;
+      bn.forward_inplace_relu(got_relu, relu);
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got_bn[i]),
+                  std::bit_cast<std::uint32_t>(want_bn[i]))
+            << "bn forward, plane " << plane << ", index " << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got_relu[i]),
+                  std::bit_cast<std::uint32_t>(want_relu[i]))
+            << "bn+relu, slope " << slope << ", plane " << plane
+            << ", index " << i;
+      }
+    }
+  }
 }
 
 TEST(Relu, ForwardBackward) {

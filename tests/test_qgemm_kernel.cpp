@@ -18,8 +18,10 @@
 //   - the qgemm_macs counter (surviving entries x columns, both paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nn/conv.h"
@@ -314,14 +316,18 @@ TEST(QgemmKernel, SegmentI8BlocksMatchGenericPathBitwise) {
                          : static_cast<std::int8_t>(
                                rng.uniform(-127.0f, 127.99f));
     }
+    std::vector<std::int32_t> row_off(static_cast<std::size_t>(k));
+    for (std::int64_t p = 0; p < k; ++p)
+      row_off[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(p * n);
     std::vector<Tensor> outs;
     for (int threads : {1, 4}) {
       parallel::set_thread_count(threads);
       for (bool fit : {false, true}) {
         Tensor y({rows, n});
         gemm::s8_gemm_segments(cols.data(), codes.data(), segs.data(),
-                               row_segs.data(), rows, k, qx.data(), sx, n,
-                               bias.data(), y.data(), fit);
+                               row_segs.data(), rows, k, qx.data(),
+                               row_off.data(), sx, n, bias.data(), y.data(),
+                               fit);
         outs.push_back(std::move(y));
       }
     }
@@ -387,6 +393,207 @@ TEST(QgemmKernel, PackedConv2dPanelForwardMatchesSegmentBitwise) {
   const Tensor yp = panel.forward(x);
   const Tensor ys = seg.forward(x);
   expect_bitwise_equal(yp, ys, "conv panel-vs-segment forward");
+}
+
+/// The int8 im2col gather the packed conv ran before it read zero-padded
+/// planes, frozen here as the reference layout: row (ch*k + ky)*k + kx holds
+/// tap (ky, kx) of channel ch for every output position, code 0 where the
+/// tap falls in the padding.
+std::vector<std::int8_t> reference_im2col(const std::int8_t* in, std::int64_t c,
+                                          std::int64_t h, std::int64_t w, int k,
+                                          int stride, int pad,
+                                          std::int64_t oh, std::int64_t ow) {
+  std::vector<std::int8_t> out(static_cast<std::size_t>(c * k * k * oh * ow));
+  for (std::int64_t row = 0; row < c * k * k; ++row) {
+    const std::int64_t ch = row / (k * k);
+    const int ky = static_cast<int>((row / k) % k);
+    const int kx = static_cast<int>(row % k);
+    for (std::int64_t oy = 0; oy < oh; ++oy)
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const std::int64_t iy = oy * stride - pad + ky;
+        const std::int64_t ix = ox * stride - pad + kx;
+        out[static_cast<std::size_t>((row * oh + oy) * ow + ox)] =
+            iy < 0 || iy >= h || ix < 0 || ix >= w
+                ? std::int8_t{0}
+                : in[(ch * h + iy) * w + ix];
+      }
+  }
+  return out;
+}
+
+/// A conv whose 3x3 kernels each keep one of the `taps`-weight UPAQ
+/// patterns (cycling through all of them, so a layer mixes masks as a
+/// searched plan does). 1x1 kernels stay dense.
+std::unique_ptr<nn::Conv2d> make_pattern_conv(std::int64_t cin,
+                                              std::int64_t cout, int k,
+                                              int stride, int pad, int taps,
+                                              Rng& rng) {
+  auto conv = std::make_unique<nn::Conv2d>(cin, cout, k, stride, pad, true,
+                                           rng, "ref_conv");
+  if (k == 3) {
+    const auto pats = prune::all_patterns(taps, 3);
+    Tensor& wv = conv->weight().value;
+    for (std::int64_t kern = 0; kern < cout * cin; ++kern) {
+      const prune::KernelPattern& pat =
+          pats[static_cast<std::size_t>(kern * 5 + kern / cin) % pats.size()];
+      for (int t = 0; t < 9; ++t) {
+        bool keep = false;
+        for (const auto& [r, col] : pat.positions) keep |= r * 3 + col == t;
+        if (!keep) wv[kern * 9 + t] = 0.0f;
+      }
+    }
+    conv->weight().mark_mutated();
+  }
+  return conv;
+}
+
+TEST(QgemmKernel, PlaneConvMatchesFrozenIm2colReferenceBitwise) {
+  // PackedConv2d::forward reads its taps from zero-padded int8 planes. The
+  // frozen reference quantizes the same map, gathers the old im2col matrix
+  // and runs PackedGemm::run over it: every output must agree bit for bit,
+  // over kernel {1, 3} x stride {1, 2} x pad {0, 1} x three maps x batch
+  // {1, 2} x weight bits {4, 8, 16} x HCK/LCK patterns x forced panel and
+  // segment x 1 and 4 threads.
+  struct Map {
+    std::int64_t h, w;
+  };
+  const std::int64_t cin = 3, cout = 5;
+  Rng rng(2718);
+  for (const int k : {1, 3})
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1})
+        for (const Map map : {Map{13, 11}, Map{8, 8}, Map{64, 64}})
+          for (const int taps : {2, 3}) {
+            if (k == 1 && taps == 3) continue;  // 1x1 kernels have no pattern
+            const auto conv =
+                make_pattern_conv(cin, cout, k, stride, pad, taps, rng);
+            for (const std::int64_t batch : {1, 2}) {
+              const Tensor x =
+                  Tensor::uniform({batch, cin, map.h, map.w}, rng, -2.0f, 2.0f);
+              for (const int bits : {4, 8, 16})
+                for (const PanelMode mode :
+                     {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
+                  if (bits > 8 && mode == PanelMode::kForcePanel) continue;
+                  qnn::LowerSpec spec;
+                  spec.weight_bits = bits;
+                  spec.group_size = k * k;
+                  spec.mode = mode;
+                  qnn::PackedConv2d eng(*conv, spec);
+                  const std::int64_t oh = (map.h + 2 * pad - k) / stride + 1;
+                  const std::int64_t ow = (map.w + 2 * pad - k) / stride + 1;
+                  Tensor want({batch, cout, oh, ow});
+                  for (std::int64_t b = 0; b < batch; ++b) {
+                    const qnn::QuantizedActs q = qnn::quantize_acts(
+                        x.data() + b * cin * map.h * map.w, cin,
+                        map.h * map.w, eng.act_bits());
+                    const auto cols = reference_im2col(
+                        q.codes.data(), cin, map.h, map.w, k, stride, pad, oh,
+                        ow);
+                    eng.gemm().run(cols.data(), q.scale, oh * ow,
+                                   conv->bias()->value.data(),
+                                   want.data() + b * cout * oh * ow);
+                  }
+                  for (const int threads : {1, 4}) {
+                    parallel::set_thread_count(threads);
+                    const Tensor got = eng.forward(x);
+                    parallel::set_thread_count(1);
+                    char what[160];
+                    std::snprintf(what, sizeof(what),
+                                  "k%d s%d p%d %lldx%lld taps%d batch%lld "
+                                  "bits%d %s threads%d",
+                                  k, stride, pad, static_cast<long long>(map.h),
+                                  static_cast<long long>(map.w), taps,
+                                  static_cast<long long>(batch), bits,
+                                  mode == PanelMode::kForcePanel ? "panel"
+                                                                 : "segment",
+                                  threads);
+                    ASSERT_EQ(got.shape(), want.shape()) << what;
+                    expect_bitwise_equal(got, want, what);
+                  }
+                }
+            }
+          }
+}
+
+TEST(QgemmKernel, PlaneBuildAndKernelsStayInsideExactBuffers) {
+  // The packed conv carves its planes from the workspace arena, whose
+  // neighbouring blocks would hide an over-read from AddressSanitizer. Here
+  // the plane pack, both GEMM kernels and the output grid run on exactly
+  // sized std::vectors, so any byte read past PlaneLayout::bytes (or written
+  // past the grid) faults under the sanitizer build. The grid columns are
+  // also checked against the frozen im2col reference, and every plane byte
+  // against the padded map it encodes.
+  struct Geom {
+    std::int64_t c, h, w;
+    int k, stride, pad;
+  };
+  Rng rng(314);
+  for (const Geom g :
+       {Geom{3, 13, 11, 3, 1, 1}, Geom{4, 9, 7, 3, 2, 1}, Geom{2, 8, 8, 3, 2, 0},
+        Geom{3, 17, 70, 3, 1, 1}, Geom{5, 6, 66, 1, 1, 0},
+        Geom{2, 11, 35, 3, 3, 2}}) {
+    const gemm::PlaneLayout l =
+        gemm::plane_layout(g.c, g.h, g.w, g.k, g.stride, g.pad);
+    const std::int64_t k = g.c * g.k * g.k, rows = 6;
+    std::vector<std::int32_t> row_off(static_cast<std::size_t>(k));
+    gemm::plane_row_offsets(l, row_off.data());
+    const std::int64_t max_off = *std::max_element(row_off.begin(), row_off.end());
+    ASSERT_EQ(l.bytes, std::max(l.planes_bytes, max_off + l.n));
+    const Tensor x = Tensor::uniform({g.c, g.h, g.w}, rng, -1.0f, 1.0f);
+    // Prefilled, so a padding or slack byte the build forgets shows.
+    std::vector<std::int8_t> planes(static_cast<std::size_t>(l.bytes), 0x5A);
+    const float sx = gemm::s8_quantize_planes(x.data(), l, 8, planes.data());
+
+    // Planes hold the flat codes at their padded positions and 0 elsewhere.
+    std::vector<std::int8_t> flat(static_cast<std::size_t>(g.c * g.h * g.w));
+    ASSERT_EQ(qnn::quantize_acts_into(x.data(), x.numel(), 8, flat.data()), sx);
+    const int s = g.stride;
+    for (std::int64_t ch = 0; ch < g.c; ++ch)
+      for (std::int64_t py = 0; py < l.hq * s; ++py)
+        for (std::int64_t px = 0; px < l.wq * s; ++px) {
+          const std::int64_t iy = py - g.pad, ix = px - g.pad;
+          const std::int8_t want =
+              iy < 0 || iy >= g.h || ix < 0 || ix >= g.w
+                  ? std::int8_t{0}
+                  : flat[static_cast<std::size_t>((ch * g.h + iy) * g.w + ix)];
+          const std::int64_t at =
+              ((ch * s + py % s) * s + px % s) * l.plane + (py / s) * l.wq +
+              px / s;
+          ASSERT_EQ(planes[static_cast<std::size_t>(at)], want)
+              << "plane byte of ch " << ch << " at padded (" << py << ", "
+              << px << ")";
+        }
+    for (std::int64_t i = l.planes_bytes; i < l.bytes; ++i)
+      ASSERT_EQ(planes[static_cast<std::size_t>(i)], 0) << "slack byte " << i;
+
+    const auto cols = reference_im2col(flat.data(), g.c, g.h, g.w, g.k, s,
+                                       g.pad, l.oh, l.ow);
+    const Tensor wt = make_weight(rows, k, 0.5, rng);
+    const auto packed =
+        qnn::pack(wt, 8, g.k * g.k, quant::StorageFormat::kDense);
+    for (const PanelMode mode :
+         {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
+      const PackedGemm gm(packed, rows, k, mode);
+      std::vector<float> grid(static_cast<std::size_t>(rows * l.n));
+      gm.run(planes.data(), row_off.data(), sx, l.n, l.oh * l.ow, nullptr,
+             grid.data());
+      Tensor want({rows, l.oh * l.ow});
+      gm.run(cols.data(), sx, l.oh * l.ow, nullptr, want.data());
+      for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t oy = 0; oy < l.oh; ++oy)
+          for (std::int64_t ox = 0; ox < l.ow; ++ox)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                          grid[static_cast<std::size_t>(r * l.n + oy * l.wq +
+                                                        ox)]),
+                      std::bit_cast<std::uint32_t>(
+                          want.at(r, oy * l.ow + ox)))
+                << (mode == PanelMode::kForcePanel ? "panel" : "segment")
+                << " grid column (" << oy << ", " << ox << ") of row " << r;
+    }
+  }
+  // Offsets are int32: a map whose planes pass 2^31 bytes is refused.
+  EXPECT_THROW(gemm::plane_layout(std::int64_t{1} << 16, 512, 512, 3, 1, 1),
+               std::invalid_argument);
 }
 
 TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
