@@ -176,8 +176,8 @@ UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_ke
 UPAQ_TRACE=1 UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_prof|test_obs|test_serve' --output-on-failure
 
 # On an AVX-512 host the kernel TU's AVX2 paths (the 16-column segment
-# block, the 8-lane quantizer and plane build, the BN fallback) only run on
-# column tails. A second build with -mno-avx512f runs them on every column:
+# block and the BN fallback) only run on column tails. A second build with
+# -mno-avx512f runs them on every column:
 # GCC keeps the explicit -mno-avx512f over what the kernel TU's later
 # -march=native implies, so that TU compiles without AVX-512 (an AVX2 host
 # in miniature) and its suites must still pass bitwise.

@@ -482,8 +482,8 @@ void s8_row_block16(const std::int32_t* cols, const std::int32_t* codes,
   __m256 y1 = y0;
   for (std::int64_t si = s0; si < s1; ++si) {
     const QSegment& seg = segs[si];
-    // The first pair initialises the accumulators (one-pair segments skip
-    // the zero fill and the adds).
+    // The first pair's sums replace the zeros, so one-pair segments do no
+    // integer adds; an empty segment keeps the zeros.
     __m256i acc[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
     if (seg.begin < seg.end) pair_sums(seg.begin, seg.begin + 1 < seg.end, acc);
     for (std::int64_t e = seg.begin + 2; e < seg.end; e += 2) {
@@ -567,8 +567,8 @@ void s8_row_block64(const std::int32_t* cols, const std::int32_t* codes,
   for (auto& v : y) v = _mm512_set1_ps(bias_v);
   for (std::int64_t si = s0; si < s1; ++si) {
     const QSegment& seg = segs[si];
-    // The first pair initialises the accumulators: HCK segments are one
-    // pair, so they skip the zero fill and the adds entirely.
+    // The first pair's sums replace the zeros: HCK segments are one pair,
+    // so they do no integer adds; an empty segment keeps the zeros.
     __m512i acc[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
                       _mm512_setzero_si512(), _mm512_setzero_si512()};
     if (seg.begin < seg.end) pair_sums(seg.begin, seg.begin + 1 < seg.end, acc);
@@ -981,15 +981,6 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
   }
 }
 
-// The AVX-512 masked and narrowing intrinsics below seed their pass-through
-// operand from a deliberately undefined register, which GCC 12's
-// -W(maybe-)uninitialized misreports (as for the 64-column segment block).
-#if defined(__AVX512F__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#endif
-
 namespace {
 
 /// Exact abs-max of a range. Max is associative, commutative, and rounds
@@ -998,17 +989,7 @@ namespace {
 float abs_max_range(const float* src, std::int64_t i0, std::int64_t i1) {
   float a = 0.0f;
   std::int64_t i = i0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX512F__)
-  __m512 acc = _mm512_setzero_ps();
-  for (; i + 16 <= i1; i += 16)
-    acc = _mm512_max_ps(acc, _mm512_abs_ps(_mm512_loadu_ps(src + i)));
-  if (i < i1) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (i1 - i)) - 1u);
-    acc = _mm512_max_ps(acc, _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, src + i)));
-    i = i1;
-  }
-  a = _mm512_reduce_max_ps(acc);
-#elif defined(UPAQ_S8_VEC) && defined(__AVX2__)
+#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
   // GCC will not vectorize float max reductions without -ffast-math, so
   // spell out the lanes (the reduction is exact either way).
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
@@ -1059,34 +1040,7 @@ S8Grid s8_grid(float alpha, int bits) {
 void s8_convert(const float* src, std::int64_t n, const S8Grid& g,
                 std::int8_t* dst) {
   std::int64_t i = 0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX512F__)
-  // Sixteen lanes of the sequence below; the row tail runs masked, so the
-  // short rows of the plane build (8..64 floats) take no scalar steps.
-  // vpmovdb truncates, which is exact because the clamp bounds every lane.
-  const __m512 vinv16 = _mm512_set1_ps(g.inv);
-  const __m512 vmax16 = _mm512_set1_ps(g.maxv);
-  const __m512 vmin16 = _mm512_set1_ps(-g.maxv);
-  const __m512i half16 = _mm512_castps_si512(_mm512_set1_ps(0.5f));
-  const __m512i sign16 =
-      _mm512_set1_epi32(static_cast<std::int32_t>(0x80000000));
-  const auto codes16 = [&](__m512 x) {
-    __m512 v = _mm512_mul_ps(x, vinv16);
-    v = _mm512_min_ps(_mm512_max_ps(v, vmin16), vmax16);
-    const __m512 h = _mm512_castsi512_ps(
-        _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(v), sign16),
-                        half16));
-    return _mm512_cvttps_epi32(_mm512_add_ps(v, h));
-  };
-  for (; i + 16 <= n; i += 16)
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm512_cvtepi32_epi8(codes16(_mm512_loadu_ps(src + i))));
-  if (i < n) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    _mm512_mask_cvtepi32_storeu_epi8(
-        dst + i, tail, codes16(_mm512_maskz_loadu_ps(tail, src + i)));
-  }
-  return;
-#elif defined(UPAQ_S8_VEC) && defined(__AVX2__)
+#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
   // Same per-element sequence as the scalar tail below — multiply, clamp,
   // add copysign(0.5), truncate — just eight lanes at a time (GCC keeps
   // this loop scalar on its own because of the int8 narrowing store). The
@@ -1119,46 +1073,15 @@ void s8_convert(const float* src, std::int64_t n, const S8Grid& g,
   }
 }
 
-#if defined(__AVX512F__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 /// Scatters one converted input row (w codes) into its phase-plane rows for
 /// stride s: input column ix = s*t + r lands in phase b = (r + pad) % s at
 /// column t + (r + pad) / s, so each residue r is one contiguous run of the
 /// row of phase b, which starts at prow + b * plane.
 void s8_scatter_phases(const std::int8_t* codes, std::int64_t w, int s,
                        int pad, std::int64_t plane, std::int8_t* prow) {
-  const auto run = [&](int r) {
-    return prow + ((r + pad) % s) * plane + (r + pad) / s;
-  };
-  if (s != 2) {
-    for (int r = 0; r < s && r < w; ++r) {
-      std::int8_t* d = run(r);
-      for (std::int64_t ix = r; ix < w; ix += s) *d++ = codes[ix];
-    }
-    return;
-  }
-  // Stride 2 (the downsampling convs): both residues at once.
-  std::int8_t* even = run(0);
-  std::int8_t* odd = run(1);
-  std::int64_t t = 0;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-  // Split 16 codes into 8 evens (low half) and 8 odds (high half).
-  const __m128i split =
-      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
-  for (; 2 * t + 16 <= w; t += 8) {
-    const __m128i v = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 2 * t)),
-        split);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(even + t), v);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(odd + t),
-                     _mm_unpackhi_epi64(v, v));
-  }
-#endif
-  for (; 2 * t < w; ++t) {
-    even[t] = codes[2 * t];
-    if (2 * t + 1 < w) odd[t] = codes[2 * t + 1];
+  for (int r = 0; r < s && r < w; ++r) {
+    std::int8_t* d = prow + ((r + pad) % s) * plane + (r + pad) / s;
+    for (std::int64_t ix = r; ix < w; ix += s) *d++ = codes[ix];
   }
 }
 

@@ -15,11 +15,14 @@
 //     segment path, bitwise, around every block edge at 1 and 4 threads;
 //   - 1-thread vs 4-thread bitwise determinism of the panel kernel;
 //   - the steady-state zero-allocation contract for panel scratch;
+//   - the activation quantizer's vector body and tail vs the scalar
+//     expression, bitwise;
 //   - the qgemm_macs counter (surviving entries x columns, both paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -513,6 +516,49 @@ TEST(QgemmKernel, PlaneConvMatchesFrozenIm2colReferenceBitwise) {
                 }
             }
           }
+}
+
+TEST(QgemmKernel, ActQuantizerMatchesScalarReferenceBitwise) {
+  // The activation quantizer's vector body and its scalar tail against a
+  // test-local copy of the scalar expression. Lengths straddle the vector
+  // width; a grid with scale exactly 1 plants exact halves (rounded away
+  // from zero), -0.0 and the clamp bound in both the body and the tail.
+  Rng rng(2718);
+  for (const int bits : {4, 8}) {
+    const float maxv = static_cast<float>((1 << (bits - 1)) - 1);
+    for (const std::int64_t n : {1, 7, 8, 15, 16, 17, 31, 33, 64, 70, 203}) {
+      for (const bool unit_grid : {true, false}) {
+        const float m = unit_grid ? maxv : 1.3f;
+        Tensor x = Tensor::uniform({n}, rng, -m, m);
+        if (unit_grid) {
+          for (std::int64_t i = 0; i < n; ++i) {
+            if (i % 5 == 1)
+              x[i] = static_cast<float>(i % ((1 << bits) - 2)) - maxv + 0.5f;
+            if (i % 7 == 3) x[i] = -0.0f;
+          }
+          x[n / 2] = -maxv;  // alpha = maxv: scale 1, every half exact
+        }
+        float alpha = 0.0f;
+        for (std::int64_t i = 0; i < n; ++i)
+          alpha = std::max(alpha, std::fabs(x[i]));
+        const float scale =
+            static_cast<float>(alpha / (std::pow(2.0, bits - 1) - 1.0));
+        const float inv = 1.0f / scale;
+        std::vector<std::int8_t> got(static_cast<std::size_t>(n));
+        ASSERT_EQ(qnn::quantize_acts_into(x.data(), n, bits, got.data()),
+                  scale);
+        for (std::int64_t i = 0; i < n; ++i) {
+          float v = x[i] * inv;
+          v = std::min(std::max(v, -maxv), maxv);
+          const auto want = static_cast<std::int8_t>(
+              static_cast<std::int32_t>(v + std::copysign(0.5f, v)));
+          ASSERT_EQ(got[static_cast<std::size_t>(i)], want)
+              << "bits " << bits << " n " << n << " elem " << i << " x "
+              << x[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(QgemmKernel, PlaneBuildAndKernelsStayInsideExactBuffers) {
