@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "detectors/pointpillars.h"
 #include "hw/device.h"
 #include "parallel/thread_pool.h"
-#include "qnn/qlayers.h"
 #include "tensor/workspace.h"
 #include "zoo/experiment.h"
 
@@ -222,10 +220,9 @@ struct PackedTiming {
   LatencyStats fp32;    ///< compressed model, float execution
   LatencyStats packed;  ///< compressed model, packed integer execution
   int lowered = 0;      ///< layers running on the integer path
-  double pack_ms = 0.0;  ///< one-time lowering (pack + panel build) cost
+  double pack_ms = 0.0;  ///< one-time lowering (pack) cost
   /// Measured per-layer packed-vs-fp32 speedups joined against the device
-  /// model's int_gemm_speedup(bits) curve, annotated with the kernel each
-  /// layer's engine runs.
+  /// model's int_gemm_speedup(bits) curve.
   upaq::prof::IntSpeedupReport report;
 };
 
@@ -251,10 +248,6 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
                   std::chrono::steady_clock::now() - pack_t0)
                   .count();
   t.lowered = qmodel.lowered_layers();
-  std::map<std::string, std::string> kernels;
-  for (const auto& layer : model.layers())
-    if (const qnn::PackedGemm* g = qnn::attached_gemm(*layer))
-      kernels[layer->name()] = g->panel_active() ? "int8_panel" : "segment";
   // Interleaved sweeps: each repeat times a float pass then a packed pass
   // of the same scenes (set_packed flips the engines without re-packing),
   // so the two paths share the machine-noise environment instead of
@@ -264,7 +257,7 @@ PackedTiming time_packed_ms(int scenes, int repeats) {
   t.report = prof::build_int_speedup_report(
       fp32_events, packed_events,
       hw::device_spec(hw::Device::kJetsonOrinNano), qmodel.cost_profile(),
-      repeats * static_cast<int>(set.size()), &kernels);
+      repeats * static_cast<int>(set.size()));
   return t;
 }
 
@@ -354,11 +347,10 @@ int main() {
     for (std::size_t i = 0; i < packed.report.rows.size(); ++i) {
       const auto& r = packed.report.rows[i];
       std::fprintf(json,
-                   "    {\"layer\": \"%s\", \"bits\": %d, \"kernel\": \"%s\", "
+                   "    {\"layer\": \"%s\", \"bits\": %d, "
                    "\"measured\": %.4f, \"modeled\": %.4f}%s\n",
-                   r.name.c_str(), r.weight_bits,
-                   r.kernel.empty() ? "-" : r.kernel.c_str(), r.measured,
-                   r.modeled, i + 1 < packed.report.rows.size() ? "," : "");
+                   r.name.c_str(), r.weight_bits, r.measured, r.modeled,
+                   i + 1 < packed.report.rows.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"speedups\": [\n");

@@ -34,8 +34,8 @@ UPAQ_THREADS=4 "$BUILD_DIR"/bench/bench_ablation_micro \
   --benchmark_filter='BM_Gemm' --benchmark_min_time=0.05 \
   || { echo "perf smoke FAILED (equivalence gate)"; exit 1; }
 
-# Packed-vs-fp32 ratchet: the whole point of the panel kernels is that the
-# integer path beats the float path on the same compressed model. The bench
+# Packed-vs-fp32 ratchet: the whole point of the packed integer path is that
+# it beats the float path on the same compressed model. The bench
 # recomputes bench_fig4.json; the p50-based ratio must stay above the floor.
 # The target on quiet/dedicated hardware is 1.30x — run with
 # UPAQ_SPEEDUP_FLOOR=1.30 there. The default floor is calibrated to this
@@ -73,13 +73,11 @@ if ! awk -v s="$SPEEDUP" -v f="$PACKED_SPEEDUP_FLOOR" 'BEGIN { exit !(s >= f) }'
 fi
 echo "packed_vs_fp32_speedup=${SPEEDUP} (>= ${PACKED_SPEEDUP_FLOOR})"
 
-# Per-layer floor: every planned layer is lowered, and the packed kernel it
-# runs comes from one static rule (int8 panel iff codes fit int8 and the mean
-# segment length reaches qnn::kPanelMinSegmentLength, else segment) — no
-# measurement sends a slow layer back to float. So every integer-path row
-# must beat its own fp32 run; a value below 1.0 here means the rule picked a
-# kernel that loses to the float path on a shipped layer (measured 1.21-1.64
-# in four runs on a 4-vCPU AVX-512 host, every layer on the segment kernel).
+# Per-layer floor: every planned layer is lowered onto the one integer
+# kernel (the entry-skipping segment GEMM) — no measurement sends a slow
+# layer back to float. So every integer-path row must beat its own fp32 run;
+# a value below 1.0 here means that kernel loses to the float path on a
+# shipped layer (measured 1.21-1.64 in four runs on a 4-vCPU AVX-512 host).
 INT_MIN="$(sed -n 's/.*"int_speedup_min": \([0-9.]*\).*/\1/p' bench_fig4.json)"
 if [ -z "$INT_MIN" ]; then
   echo "per-layer gate FAILED: int_speedup_min missing from bench_fig4.json"
@@ -92,7 +90,7 @@ fi
 echo "int_speedup_min=${INT_MIN} (>= 1.0)"
 
 # <= 4-bit floor: geometric mean of the measured speedups over the bits<=4
-# rows, whichever kernel (segment or int8 panel) runs them. Four runs on a
+# rows. Four runs on a
 # 4-vCPU AVX-512 host measured 1.97-2.21x; the floor keeps a wide margin
 # because a contended host can land single rows just above 1.0x.
 INT4_GEOMEAN_FLOOR="${UPAQ_INT4_GEOMEAN_FLOOR:-1.05}"
@@ -155,18 +153,21 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # pack/unpack/GEMM code cannot slip past the plain Release gate. The prof
 # suite rides along: its event buffers are touched from every pool worker,
 # so it is the natural place for the sanitizers to catch a lifetime bug.
-# test_gemm_kernel joins them: the panel packer and workspace arena do raw
-# pointer arithmetic over reused blocks, exactly where ASan earns its keep;
-# test_qgemm_kernel covers the interleaved int8 panel kernel the same way.
+# test_gemm_kernel joins them: the float GEMM's panel packs and the
+# workspace arena do raw pointer arithmetic over reused blocks, exactly where
+# ASan earns its keep; test_qgemm_kernel runs the segment GEMM and the plane
+# build on exactly sized buffers, so any read past them faults.
+# test_nn covers the vectorised eval BN (f32_bn_eval) body and tail;
+# test_detectors covers the counting-sort pillarize and its non-finite drop.
 # test_scenarios rides along too: the corruption passes (occlusion shadow
 # walk, dropout filter) and the suite's report assembly are fresh code.
 # test_prune rides along: its pattern/mask contracts produce the pruned
-# weights whose zero layout the packer turns into entry lists and panels.
-echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune suites under UPAQ_SANITIZE=address,undefined"
+# weights whose zero layout the packer turns into entry lists.
+echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune + nn + detectors suites under UPAQ_SANITIZE=address,undefined"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune
-UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune' --output-on-failure
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune test_nn test_detectors
+UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune|test_nn|test_detectors' --output-on-failure
 # The serve pipeline overlaps stages across pool lanes and recycles batch
 # slots — ASan watches the slot/workspace lifetimes, and the traced run
 # keeps every span live while the stages overlap.

@@ -138,19 +138,40 @@ CompressionPlan load_plan(const std::string& path) {
   CompressionPlan plan;
   std::getline(is, plan.framework);
   std::string line;
-  while (std::getline(is, line)) {
+  // Layer lines start after the header and framework lines. Every field is
+  // range-checked here, so a malformed plan fails at load with its file and
+  // line instead of pricing or packing garbage later.
+  for (int lineno = 3; std::getline(is, line); ++lineno) {
     if (line.empty()) continue;
+    const std::string where =
+        path + ":" + std::to_string(lineno) + ": " + line + ": ";
     std::istringstream ls(line);
-    std::string name, pattern;
+    std::string name, pattern, extra;
     LayerState st;
     int mode = 0, format = 0;
     ls >> name >> st.sparsity >> st.storage_bits >> st.compute_bits >> mode >>
         format >> st.quant_group >> pattern;
-    UPAQ_CHECK(static_cast<bool>(ls), "bad plan line in " + path + ": " + line);
+    UPAQ_CHECK(static_cast<bool>(ls), "bad plan line at " + where);
+    UPAQ_CHECK(!(ls >> extra), "extra plan field at " + where + extra);
+    // Written so NaN fails it.
+    UPAQ_CHECK(st.sparsity >= 0.0 && st.sparsity <= 1.0,
+               "plan sparsity outside [0, 1] at " + where);
+    UPAQ_CHECK(st.storage_bits >= 1 && st.storage_bits <= 32 &&
+                   st.compute_bits >= 1 && st.compute_bits <= 32,
+               "plan bits outside [1, 32] at " + where);
+    constexpr int kLastMode = static_cast<int>(hw::SparsityMode::kStructured);
+    constexpr int kLastFormat =
+        static_cast<int>(quant::StorageFormat::kPatternSparse);
+    UPAQ_CHECK(mode >= 0 && mode <= kLastMode,
+               "plan sparsity mode outside 0..3 at " + where);
+    UPAQ_CHECK(format >= 0 && format <= kLastFormat,
+               "plan storage format outside 0..2 at " + where);
+    UPAQ_CHECK(st.quant_group >= 0, "negative plan quant_group at " + where);
     st.mode = static_cast<hw::SparsityMode>(mode);
     st.format = static_cast<quant::StorageFormat>(format);
     if (pattern != "-") st.pattern = pattern;
-    plan.layers.emplace(std::move(name), st);
+    UPAQ_CHECK(plan.layers.try_emplace(name, st).second,
+               "duplicate plan layer at " + where);
   }
   return plan;
 }

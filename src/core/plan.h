@@ -83,6 +83,10 @@ void rebuild_masks(nn::Module& model, const CompressionPlan& plan);
 /// Plain-text (de)serialization of a plan — one layer per line. Used by the
 /// experiment cache so figure benches can reuse Table-2 results.
 void save_plan(const std::string& path, const CompressionPlan& plan);
+/// Throws std::invalid_argument naming the file and line on a malformed
+/// layer line: a missing or extra field, sparsity outside [0, 1] (NaN
+/// included), bits outside [1, 32], a sparsity mode outside 0..3, a storage
+/// format outside 0..2, a negative quant_group, or a repeated layer name.
 CompressionPlan load_plan(const std::string& path);
 
 }  // namespace upaq::core

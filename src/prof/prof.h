@@ -53,11 +53,12 @@ enum class Counter : int {
   kWorkspaceBytes,    ///< bytes of workspace arena blocks allocated
   kWorkspaceReuses,   ///< workspace allocations served without the heap
   kQgemmMacs,         ///< integer-GEMM multiply-accumulates (surviving
-                      ///< entries x output columns; segment + panel paths)
+                      ///< entries x output columns)
   kServeBatches,      ///< serve: cross-scene batches formed
   kServeScenes,       ///< serve: scenes completed through the pipeline
   kServeShed,         ///< serve: requests shed (capacity overflow + deadline)
-  kPanelBuilds,       ///< packed-weight panel decodes/packs (qnn cache misses)
+  kPanelBuilds,       ///< PackedGemm packs: one at lowering, one per
+                      ///< Parameter::version bump
   kCount,
 };
 

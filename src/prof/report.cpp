@@ -105,8 +105,7 @@ std::map<std::string, std::pair<std::int64_t, double>> median_by_name(
 IntSpeedupReport build_int_speedup_report(
     const std::vector<Event>& fp32_events,
     const std::vector<Event>& packed_events, const hw::DeviceSpec& spec,
-    const std::vector<hw::LayerProfile>& profile, int passes,
-    const std::map<std::string, std::string>* kernels) {
+    const std::vector<hw::LayerProfile>& profile, int passes) {
   IntSpeedupReport rep;
   const int p_ = std::max(passes, 1);
   const auto fp32 = median_by_name(fp32_events, p_);
@@ -115,9 +114,6 @@ IntSpeedupReport build_int_speedup_report(
     if (!p.integer_path) continue;
     IntSpeedupRow row;
     row.name = p.name;
-    if (kernels != nullptr)
-      if (auto it = kernels->find(p.name); it != kernels->end())
-        row.kernel = it->second;
     row.weight_bits = p.weight_bits;
     row.modeled = spec.int_gemm_speedup(p.weight_bits);
     const auto f = fp32.find(p.name);
@@ -143,22 +139,20 @@ IntSpeedupReport build_int_speedup_report(
 std::string int_speedup_table(const IntSpeedupReport& rep) {
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "%-20s %5s %-11s %12s %12s %10s %9s %8s\n",
-                "layer", "bits", "kernel", "fp32 ms", "packed ms", "measured",
-                "modeled", "drift");
+  std::snprintf(line, sizeof(line), "%-20s %5s %12s %12s %10s %9s %8s\n",
+                "layer", "bits", "fp32 ms", "packed ms", "measured", "modeled",
+                "drift");
   out += line;
   for (const auto& r : rep.rows) {
-    const char* kernel = r.kernel.empty() ? "-" : r.kernel.c_str();
     if (r.spans > 0) {
       std::snprintf(line, sizeof(line),
-                    "%-20s %5d %-11s %12.4f %12.4f %9.2fx %8.2fx %7.2fx\n",
-                    r.name.c_str(), r.weight_bits, kernel, r.fp32_ms,
-                    r.packed_ms, r.measured, r.modeled, r.drift);
+                    "%-20s %5d %12.4f %12.4f %9.2fx %8.2fx %7.2fx\n",
+                    r.name.c_str(), r.weight_bits, r.fp32_ms, r.packed_ms,
+                    r.measured, r.modeled, r.drift);
     } else {
-      std::snprintf(line, sizeof(line),
-                    "%-20s %5d %-11s %12s %12s %10s %8.2fx %8s\n",
-                    r.name.c_str(), r.weight_bits, kernel, "-", "-", "-",
-                    r.modeled, "-");
+      std::snprintf(line, sizeof(line), "%-20s %5d %12s %12s %10s %8.2fx %8s\n",
+                    r.name.c_str(), r.weight_bits, "-", "-", "-", r.modeled,
+                    "-");
     }
     out += line;
   }

@@ -16,7 +16,6 @@
 // tensor/parallel, which themselves link the core prof library.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,7 +60,6 @@ std::string cost_report_table(const CostComparison& cmp);
 /// are named after the layer in both runs, so the join is a name lookup.
 struct IntSpeedupRow {
   std::string name;
-  std::string kernel;      ///< kernel the layer's engine runs ("" if unknown)
   int weight_bits = 32;    ///< planned weight bitwidth (sets the model anchor)
   std::int64_t spans = 0;  ///< packed-run span count (0 = not observed)
   double fp32_ms = 0.0;    ///< median float-path latency per pass
@@ -84,14 +82,11 @@ struct IntSpeedupReport {
 /// integer_path are compared; both event sets must cover `passes` forward
 /// passes. The drift column says how far this host's integer-path reality is
 /// from the modeled device anchor — as with the cost report, consistency
-/// across layers matters more than the absolute level. `kernels` (optional,
-/// layer name -> kernel name of the attached engine) annotates each row with
-/// the kernel the layer actually ran.
+/// across layers matters more than the absolute level.
 IntSpeedupReport build_int_speedup_report(
     const std::vector<Event>& fp32_events,
     const std::vector<Event>& packed_events, const hw::DeviceSpec& spec,
-    const std::vector<hw::LayerProfile>& profile, int passes,
-    const std::map<std::string, std::string>* kernels = nullptr);
+    const std::vector<hw::LayerProfile>& profile, int passes);
 
 /// Fixed-width text rendering of the integer-speedup comparison.
 std::string int_speedup_table(const IntSpeedupReport& rep);

@@ -17,7 +17,6 @@ namespace {
 // Same inline-below-threshold gating as tensor/ops.cpp: the serial and
 // parallel paths share chunk boundaries, so gating cannot change results.
 constexpr std::int64_t kMinParallelWork = 1 << 15;
-constexpr std::int64_t kRowGrain = 8;
 
 }  // namespace
 
@@ -71,8 +70,7 @@ Tensor dequantize_acts(const QuantizedActs& acts) {
   return t;
 }
 
-PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
-                       PanelMode mode)
+PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k)
     : rows_(rows), k_(k), bits_(w.bits) {
   UPAQ_CHECK(rows > 0 && k > 0 && rows * k == w.numel(),
              "PackedGemm: rows*k must match the packed element count");
@@ -123,72 +121,6 @@ PackedGemm::PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
     row_segs_[static_cast<std::size_t>(r)] =
         static_cast<std::int64_t>(segs_.size());
 
-  // Kernel dispatch (PanelMode docs): the panel needs codes that fit int8
-  // and segments long enough to amortise its per-segment flush events.
-  const bool fits_i8 = bits_ <= 8;
-  const bool long_segments =
-      !segs_.empty() &&
-      entry_count() >= kPanelMinSegmentLength *
-                           static_cast<std::int64_t>(segs_.size());
-  const bool want_panel =
-      mode == PanelMode::kForcePanel ||
-      (mode == PanelMode::kAuto && fits_i8 && long_segments);
-  if (want_panel) {
-    UPAQ_CHECK(fits_i8, "PackedGemm: panel path needs weight bits <= 8, got " +
-                            std::to_string(bits_));
-    build_panel(g);
-  }
-}
-
-void PackedGemm::build_panel(std::int64_t group) {
-  // Decode the surviving codes ONCE into a dense row-major int8 matrix
-  // (bits_ <= 8 guarantees |code| <= 127) — steady-state run() calls never
-  // touch the bit-packed representation again.
-  std::vector<std::int8_t> dense(static_cast<std::size_t>(rows_ * k_), 0);
-  for (std::int64_t r = 0; r < rows_; ++r)
-    for (std::int64_t si = row_segs_[static_cast<std::size_t>(r)];
-         si < row_segs_[static_cast<std::size_t>(r) + 1]; ++si) {
-      const Segment& seg = segs_[static_cast<std::size_t>(si)];
-      for (std::int64_t e = seg.begin; e < seg.end; ++e)
-        dense[static_cast<std::size_t>(r * k_ +
-                                       cols_[static_cast<std::size_t>(e)])] =
-            static_cast<std::int8_t>(codes_[static_cast<std::size_t>(e)]);
-    }
-  // Slab cuts must land on requantization boundaries for EVERY row — a
-  // segment straddling a cut would lose its first slab's partial sum (panel
-  // accumulators reset per slab). Scale groups tile every row at the same
-  // column period only when the group size divides k; otherwise the group
-  // grid drifts across rows and the single safe slab is the whole k.
-  const std::int64_t p = (group > 0 && k_ % group == 0) ? group : k_;
-  const std::int64_t slab = std::min(k_, std::max(p, (gemm::kQKC / p) * p));
-  gemm::q8_pack_a(dense.data(), rows_, k_, slab, panel_);
-  // Requantization schedule: one flush event per segment, firing at the
-  // column after the segment's last entry. All-zero groups yield no segment
-  // and thus no event — exactly like the segment engine, which never
-  // requantizes them (flushing an all-zero accumulator could still flip a
-  // -0.0 bias fill to +0.0).
-  auto& events = panel_.events;
-  const std::int64_t panels = (rows_ + gemm::kQMR - 1) / gemm::kQMR;
-  events.assign(static_cast<std::size_t>(panels), {});
-  for (std::int64_t r = 0; r < rows_; ++r)
-    for (std::int64_t si = row_segs_[static_cast<std::size_t>(r)];
-         si < row_segs_[static_cast<std::size_t>(r) + 1]; ++si) {
-      const Segment& seg = segs_[static_cast<std::size_t>(si)];
-      gemm::QFlush ev;
-      ev.col = cols_[static_cast<std::size_t>(seg.end - 1)] + 1;
-      ev.row = static_cast<std::int32_t>(r % gemm::kQMR);
-      ev.scale = seg.scale;
-      events[static_cast<std::size_t>(r / gemm::kQMR)].push_back(ev);
-    }
-  // Per-row event columns are strictly increasing (entry columns ascend), so
-  // sorting by (col, row) is a total order — the kernel replays each row's
-  // segments in exactly the segment engine's ascending order.
-  for (auto& evs : events)
-    std::sort(evs.begin(), evs.end(),
-              [](const gemm::QFlush& a, const gemm::QFlush& b) {
-                if (a.col != b.col) return a.col < b.col;
-                return a.row < b.row;
-              });
 }
 
 void PackedGemm::run(const QuantizedActs& x, const float* bias,
@@ -219,24 +151,6 @@ void PackedGemm::run(const std::int8_t* qx, const std::int32_t* row_off,
   prof::add(prof::Counter::kQgemmMacs,
             static_cast<std::uint64_t>(entry_count()) *
                 static_cast<std::uint64_t>(real_cols));
-  if (panel_active()) {
-    // Bias prefill mirrors the segment path's per-row fill; the panel kernel
-    // then requantizes into it with the same per-element operation order, so
-    // the paths are bitwise identical (tests/test_qgemm_kernel.cpp).
-    auto fill = [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        float* yrow = py + r * n;
-        std::fill(yrow, yrow + n, bias != nullptr ? bias[r] : 0.0f);
-      }
-    };
-    if (rows_ * n < kMinParallelWork) {
-      fill(0, rows_);
-    } else {
-      parallel::parallel_for(0, rows_, kRowGrain, fill);
-    }
-    gemm::q8_gemm_panel(panel_, qx, row_off, sx, n, py);
-    return;
-  }
   // Entry-skipping segment sweep, hosted wholesale in the -march=native
   // kernel TU (the -O2 loops that used to sit here were the whole packed-path
   // regression). Per output element the operation sequence (bias, then

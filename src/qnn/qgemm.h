@@ -63,39 +63,14 @@ float quantize_planes_into(const float* src, const gemm::PlaneLayout& layout,
 /// fake-quant reference path).
 Tensor dequantize_acts(const QuantizedActs& acts);
 
-/// Mean packed-segment length (surviving entries per scale segment) from
-/// which the int8 panel kernel replaces the segment kernel: the panel pays
-/// one requantization flush per segment, the segment kernel only its sum.
-/// Sweep of forced panel vs forced segment on dense 8-bit weights (4-vCPU
-/// AVX-512 host, 1 thread): segments of <= 12 entries ran 1.1-7x faster on
-/// the segment kernel at every shape; 16-48 entries trade places within
-/// noise on 3x3 convs, but 48-wide head rows (16x48 and 2x48, n=1024) stay
-/// 1.15-4x faster on segment; from 64 entries (per-tensor scales on wide
-/// rows) the panel ties or leads by up to 1.3x on k >= 432. UPAQ's
-/// per-kernel groups (9 weights) never reach it.
-inline constexpr std::int64_t kPanelMinSegmentLength = 64;
-
 class PackedGemm {
  public:
-  /// run() execution strategy. kAuto applies one static rule: codes that fit
-  /// int8 (weight bits <= 8) whose mean segment length reaches
-  /// kPanelMinSegmentLength take the blocked pair-interleaved int8 panel
-  /// kernel; everything else (every UPAQ plan: group-9 segments) keeps the
-  /// entry-skipping segment kernel. kForcePanel / kForceSegment pin one
-  /// kernel for the cross-kernel equivalence tests. Both paths are bitwise
-  /// identical by construction, so forcing is never needed for correctness.
-  enum class PanelMode { kAuto, kForcePanel, kForceSegment };
-
-  /// Which kernel run() dispatches to.
-  enum class KernelKind { kSegment, kInt8Panel };
-
   /// Interprets `w` as a (rows, k) row-major 2-D weight; rows * k must equal
   /// w's element count. Scale groups that straddle row boundaries are split
-  /// into per-row segments. When the panel path is selected (see PanelMode),
-  /// the codes are additionally decoded ONCE here into dense int8 panels so
-  /// steady-state run() calls never touch the bit-packed representation.
-  PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k,
-             PanelMode mode = PanelMode::kAuto);
+  /// into per-row segments. The codes are decoded ONCE here into per-row
+  /// (column, code) entry lists, so steady-state run() calls never touch the
+  /// bit-packed representation.
+  PackedGemm(const PackedTensor& w, std::int64_t rows, std::int64_t k);
 
   /// out(rows, n) = requant(Wq * Xq) + bias, with x laid out (k, n).
   /// `bias` (length rows) may be null.
@@ -134,24 +109,15 @@ class PackedGemm {
   /// Largest per-group weight scale: max_scale * act_scale is the coarsest
   /// requantization step of an output (the equivalence tolerance unit).
   float max_weight_scale() const { return max_scale_; }
-  /// True when run() dispatches to the blocked int8 panel kernel.
-  bool panel_active() const { return !panel_.empty(); }
-  /// The kernel run() dispatches to.
-  KernelKind kernel_kind() const {
-    return panel_active() ? KernelKind::kInt8Panel : KernelKind::kSegment;
-  }
 
  private:
   /// Weight scale + entry range [begin, end) of one group slice of a row.
   using Segment = gemm::QSegment;
 
-  void build_panel(std::int64_t group);
-
   std::vector<std::int32_t> cols_;   ///< per entry: column index in [0, k)
   std::vector<std::int32_t> codes_;  ///< per entry: weight code (never 0)
   std::vector<Segment> segs_;
   std::vector<std::int64_t> row_segs_;  ///< rows_+1 offsets into segs_
-  gemm::QPanelA panel_;  ///< non-empty iff run() takes the int8 panel kernel
   std::int64_t rows_ = 0, k_ = 0;
   int bits_ = 8;
   float max_scale_ = 0.0f;

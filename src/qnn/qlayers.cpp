@@ -18,7 +18,7 @@ PackedGemm build_gemm(const nn::Parameter& w, std::int64_t rows,
   prof::add(prof::Counter::kPanelBuilds, 1);
   return PackedGemm(
       pack(w.value, spec.weight_bits, spec.group_size, spec.format, w.mask),
-      rows, k, spec.mode);
+      rows, k);
 }
 
 }  // namespace
@@ -138,15 +138,6 @@ bool lower_layer(nn::Layer& layer, const LowerSpec& spec) {
     return true;
   }
   return false;
-}
-
-const PackedGemm* attached_gemm(const nn::Layer& layer) {
-  const nn::ForwardEngine* engine = layer.engine();
-  if (const auto* conv = dynamic_cast<const PackedConv2d*>(engine))
-    return &conv->gemm();
-  if (const auto* linear = dynamic_cast<const PackedLinear*>(engine))
-    return &linear->gemm();
-  return nullptr;
 }
 
 }  // namespace upaq::qnn

@@ -19,9 +19,6 @@ struct LowerSpec {
   std::int64_t group_size = 0;  ///< scale granularity (0 = per tensor)
   quant::StorageFormat format = quant::StorageFormat::kDense;
   int act_bits = 8;             ///< activation code width (2..8)
-  /// Kernel selection for the packed GEMM. kAuto applies the static
-  /// segment-length rule; the force modes are test handles.
-  PackedGemm::PanelMode mode = PackedGemm::PanelMode::kAuto;
 };
 
 class PackedConv2d final : public nn::ForwardEngine {
@@ -78,9 +75,5 @@ class PackedLinear final : public nn::ForwardEngine {
 /// matching engine. Returns false (and leaves the layer untouched) when the
 /// layer kind has no packed implementation.
 bool lower_layer(nn::Layer& layer, const LowerSpec& spec);
-
-/// The packed GEMM a layer's attached engine runs, or null when the layer
-/// has no packed engine attached.
-const PackedGemm* attached_gemm(const nn::Layer& layer);
 
 }  // namespace upaq::qnn

@@ -262,16 +262,16 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
   run_blocked<true>(ap, m, k, b, c, n, alpha);
 }
 
-// ------------------------------------------------------- int8 panel kernels
+// ------------------------------------------------------ int8 segment kernels
 
 // Requantization is contractually one float multiply then one float add per
 // element (two roundings). This TU compiles with -march=native where the
 // compiler may contract a visible mul+add pair into a single-rounding FMA —
-// and it is free to do so in one code path (say the vector flush) but not
-// another (a scalar tail), which would break the bitwise equivalence between
-// the segment and panel paths. The empty asm pins the product to a register
+// and it is free to do so in one code path (say a vector block) but not
+// another (a scalar tail), which would make the result depend on the column
+// position and the ISA. The empty asm pins the product to a register
 // between the two operations, making contraction impossible everywhere, so
-// every integer path requantizes with the exact same two roundings. The "v"
+// every block and tail requantizes with the exact same two roundings. The "v"
 // constraint (any SSE/AVX register, zmm included) also holds the AVX-512
 // segment block's __m512 products, which "x" cannot.
 #if defined(__GNUC__) || defined(__clang__)
@@ -293,7 +293,8 @@ namespace {
 typedef std::int8_t v8qi __attribute__((vector_size(8)));
 typedef std::int32_t v8si __attribute__((vector_size(32)));
 typedef float v8sf __attribute__((vector_size(32)));
-static_assert(kQNR == 8, "int8 vector kernels assume kQNR == 8");
+static_assert(sizeof(v8si) == 8 * sizeof(std::int32_t),
+              "int8 vector kernels assume 8 int32 lanes");
 
 // The widening load goes through pmovsx intrinsics where available: GCC 12
 // scalarizes narrow-to-wide __builtin_convertvector into per-lane
@@ -380,8 +381,8 @@ void s8_fused_segment(const std::int32_t* cols, const std::int32_t* codes,
 
 /// Requantize-and-add flush of an int32 accumulator block: per j in [0, nb),
 ///   t = m * float(acc[j]);  yb[j] += t
-/// The same one-multiply-one-add element sequence as s8_fused_segment and the
-/// panel kernel's flush, so every integer path requantizes identically.
+/// The same one-multiply-one-add element sequence as s8_fused_segment, so
+/// every segment requantizes identically whatever its length.
 void s8_requant_add(const std::int32_t* acc, std::int64_t nb, float m,
                     float* yb) {
   std::int64_t j = 0;
@@ -662,323 +663,6 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                          row_off, sx, j0, nb, bias_of(r), iacc, y + r * n + j0);
     }
   });
-}
-
-void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
-               std::int64_t slab, QPanelA& out) {
-  out.m = m;
-  out.k = k;
-  out.slab = slab;
-  const std::int64_t mpad = round_up(m, kQMR);
-  // Slabs are padded to an even k depth for the pair-interleaved layout
-  // (the phantom position holds code 0, an exact integer no-op).
-  std::int64_t kpad = 0;
-  for (std::int64_t pc = 0; pc < k; pc += slab)
-    kpad += round_up(std::min(slab, k - pc), 2);
-  // +4 trailing bytes: the 16-byte pair loads of the micro-kernel read past
-  // the final 2*kQMR-byte pair; the tail lanes land in unused permute slots.
-  out.data.assign(static_cast<std::size_t>(mpad * kpad + 4), 0);
-  std::int8_t* dst = out.data.data();
-  for (std::int64_t pc = 0; pc < k; pc += slab) {
-    const std::int64_t kc = std::min(slab, k - pc);
-    const std::int64_t kcp = round_up(kc, 2);
-    for (std::int64_t ip = 0; ip < mpad / kQMR; ++ip) {
-      std::int8_t* panel = dst + ip * kQMR * kcp;
-      for (std::int64_t j = 0; j < kc; ++j)
-        for (std::int64_t r = 0; r < kQMR; ++r) {
-          const std::int64_t row = ip * kQMR + r;
-          panel[(j >> 1) * 2 * kQMR + 2 * r + (j & 1)] =
-              row < m ? a[row * k + pc + j] : 0;
-        }
-    }
-    dst += mpad * kcp;
-  }
-}
-
-namespace {
-
-/// Packs a kc x nw int8 B slab (columns [jc, jc+nw), k-rows [pc, pc+kc);
-/// k-row p is the bytes at b + row_off[p]) into kQNR-column panels,
-/// zero-padded to the panel width. Adjacent k-rows
-/// are pair-interleaved ([b(p,j), b(p+1,j)] contiguous per column) so the
-/// micro-kernel's int16 multiply-add lanes line up with one plain load; an
-/// odd kc gets a zero-filled phantom row (exact integer no-op).
-void q8_pack_b_slab(std::int8_t* dst, const std::int8_t* b,
-                    const std::int32_t* row_off, std::int64_t pc,
-                    std::int64_t kc, std::int64_t jc, std::int64_t nw) {
-  const std::int64_t jpanels = (nw + kQNR - 1) / kQNR;
-  const std::int64_t kcp = round_up(kc, 2);
-  for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-    std::int8_t* panel = dst + jp * kcp * kQNR;
-    const std::int64_t jv = std::min(kQNR, nw - jp * kQNR);
-    const std::int8_t* src0 = b + jc + jp * kQNR;
-    const std::int32_t* off = row_off + pc;
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-    if (jv == kQNR) {
-      // Full-width panel: interleave two 8-byte k-rows with one unpack
-      // instead of 16 strided byte stores.
-      for (std::int64_t p = 0; p + 1 < kc; p += 2) {
-        const __m128i lo = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + off[p]));
-        const __m128i hi = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + off[p + 1]));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + (p >> 1) * 16),
-                         _mm_unpacklo_epi8(lo, hi));
-      }
-      if (kc & 1) {  // odd tail k-row paired with a zero phantom row
-        const __m128i lo = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(src0 + off[kc - 1]));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(panel + (kc >> 1) * 16),
-                         _mm_unpacklo_epi8(lo, _mm_setzero_si128()));
-      }
-      continue;
-    }
-#endif
-    for (std::int64_t p = 0; p < kc; ++p) {
-      const std::int8_t* src = src0 + off[p];
-      std::int8_t* row = panel + (p >> 1) * 2 * kQNR + (p & 1);
-      for (std::int64_t jr = 0; jr < jv; ++jr) row[2 * jr] = src[jr];
-      for (std::int64_t jr = jv; jr < kQNR; ++jr) row[2 * jr] = 0;
-    }
-    if (kc & 1) {
-      std::int8_t* row = panel + (kc >> 1) * 2 * kQNR + 1;
-      for (std::int64_t jr = 0; jr < kQNR; ++jr) row[2 * jr] = 0;
-    }
-  }
-}
-
-#if defined(UPAQ_S8_VEC) && defined(__AVX2__)
-
-/// kQMR x kQNR int8 micro-tile over one (ip, jp) pair of a slab, with the
-/// panel's requantization schedule interleaved: integer products accumulate
-/// in registers via vpmaddwd (int16 x int16 multiply with exact pairwise
-/// int32 horizontal add — both operands are sign-extended int8, so every
-/// product and pair sum is exact), and at each flush event the closing row's
-/// accumulator is requantized into y with the same one-multiply-one-add
-/// sequence as s8_requant_add. Events are (col, row) ascending, so per
-/// output element the float operations replay the segment engine's order
-/// exactly. Pairing is fixed to even panel positions (the pack layout);
-/// segment boundaries at odd positions zero the partner lane instead of
-/// re-aligning, so no product ever crosses a requant boundary.
-void q8_micro_tile(const std::int8_t* __restrict__ ap,
-                   const std::int8_t* __restrict__ bp, std::int64_t kc,
-                   std::int64_t pc, const QFlush* ev, const QFlush* ev_end,
-                   float sx, float* y, std::int64_t n, std::int64_t jcol,
-                   std::int64_t jv, std::int64_t row_base, std::int64_t m) {
-  v8si t0{}, t1{}, t2{}, t3{}, t4{}, t5{};
-  static_assert(kQMR == 6, "accumulator count assumes kQMR == 6");
-  const auto flush = [&](int r, float scale) {
-    v8si acc{};
-    switch (r) {
-      case 0: acc = t0; t0 = v8si{}; break;
-      case 1: acc = t1; t1 = v8si{}; break;
-      case 2: acc = t2; t2 = v8si{}; break;
-      case 3: acc = t3; t3 = v8si{}; break;
-      case 4: acc = t4; t4 = v8si{}; break;
-      default: acc = t5; t5 = v8si{}; break;
-    }
-    const float m_ = scale * sx;
-    float* yb = y + (row_base + r) * n + jcol;
-    if (jv == kQNR) {
-      v8sf t = m_ * __builtin_convertvector(acc, v8sf);
-      UPAQ_NO_CONTRACT(t);
-      v8sf yv;
-      __builtin_memcpy(&yv, yb, sizeof(yv));
-      yv += t;
-      __builtin_memcpy(yb, &yv, sizeof(yv));
-    } else {
-      for (std::int64_t j = 0; j < jv; ++j) {
-        float t = m_ * static_cast<float>(acc[j]);
-        UPAQ_NO_CONTRACT(t);
-        yb[j] += t;
-      }
-    }
-  };
-  // One panel position p with its stored-pair partner lane zeroed: products
-  // from the partner position contribute exactly 0, so half-pair steps at
-  // segment boundaries stay on the vpmaddwd path.
-  const auto step1 = [&](std::int64_t p) {
-    const std::int64_t q = p >> 1;
-    const __m256i bpair = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp + q * 2 * kQNR)));
-    const std::int8_t* a = ap + q * 2 * kQMR + (p & 1);
-    const int odd = static_cast<int>(p & 1);
-    const auto lane = [&](int r) {
-      const std::int32_t v = a[2 * r];
-      return _mm256_set1_epi32(odd ? (v << 16) : (v & 0xFFFF));
-    };
-    t0 += (v8si)_mm256_madd_epi16(lane(0), bpair);
-    t1 += (v8si)_mm256_madd_epi16(lane(1), bpair);
-    t2 += (v8si)_mm256_madd_epi16(lane(2), bpair);
-    t3 += (v8si)_mm256_madd_epi16(lane(3), bpair);
-    t4 += (v8si)_mm256_madd_epi16(lane(4), bpair);
-    t5 += (v8si)_mm256_madd_epi16(lane(5), bpair);
-  };
-  std::int64_t c = 0;  // slab-local column
-  while (true) {
-    const std::int64_t stop =
-        ev != ev_end ? std::min<std::int64_t>(ev->col - pc, kc) : kc;
-    std::int64_t p = c;
-    if (p < stop && (p & 1)) {  // odd head: partner belongs to the previous run
-      step1(p);
-      ++p;
-    }
-    for (; p + 1 < stop; p += 2) {
-      const std::int64_t q = p >> 1;
-      const __m256i bpair = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(bp + q * 2 * kQNR)));
-      // 6 interleaved (a[p], a[p+1]) int8 pairs -> int16 pairs in permute
-      // slots 0..5 (the 16-byte load's tail lands in the unused slots 6..7).
-      const __m256i a_all = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ap + q * 2 * kQMR)));
-      t0 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(0)), bpair);
-      t1 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(1)), bpair);
-      t2 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(2)), bpair);
-      t3 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(3)), bpair);
-      t4 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(4)), bpair);
-      t5 += (v8si)_mm256_madd_epi16(
-          _mm256_permutevar8x32_epi32(a_all, _mm256_set1_epi32(5)), bpair);
-    }
-    if (p < stop) {  // odd tail: partner belongs to the next run
-      step1(p);
-    }
-    c = stop;
-    // Uniform-group matrices emit one event per row at the same column in
-    // row order (the event build sorts by (col, row)); requantize all six
-    // accumulators in one straight-line pass instead of six dispatched
-    // switches. The per-row float sequence is identical to flush().
-    if (jv == kQNR && ev_end - ev >= kQMR && ev[0].col - pc == c &&
-        ev[kQMR - 1].col == ev[0].col && ev[0].row == 0 &&
-        ev[kQMR - 1].row == kQMR - 1) {
-      const auto one = [&](v8si& t, int r) {
-        const float m_ = ev[r].scale * sx;
-        float* yb = y + (row_base + r) * n + jcol;
-        v8sf tv = m_ * __builtin_convertvector(t, v8sf);
-        UPAQ_NO_CONTRACT(tv);
-        v8sf yv;
-        __builtin_memcpy(&yv, yb, sizeof(yv));
-        yv += tv;
-        __builtin_memcpy(yb, &yv, sizeof(yv));
-        t = v8si{};
-      };
-      one(t0, 0);
-      one(t1, 1);
-      one(t2, 2);
-      one(t3, 3);
-      one(t4, 4);
-      one(t5, 5);
-      ev += kQMR;
-    }
-    while (ev != ev_end && ev->col - pc == c) {
-      flush(static_cast<int>(ev->row), ev->scale);
-      ++ev;
-    }
-    if (c >= kc && (ev == ev_end || ev->col - pc > kc)) break;
-  }
-  (void)m;
-}
-
-#else  // !(UPAQ_S8_VEC && __AVX2__)
-
-/// Portable scalar fallback with identical per-element arithmetic.
-void q8_micro_tile(const std::int8_t* ap, const std::int8_t* bp,
-                   std::int64_t kc, std::int64_t pc, const QFlush* ev,
-                   const QFlush* ev_end, float sx, float* y, std::int64_t n,
-                   std::int64_t jcol, std::int64_t jv, std::int64_t row_base,
-                   std::int64_t m) {
-  std::int32_t acc[kQMR][kQNR] = {};
-  const auto flush = [&](int r, float scale) {
-    const float m_ = scale * sx;
-    float* yb = y + (row_base + r) * n + jcol;
-    for (std::int64_t j = 0; j < jv; ++j) {
-      float t = m_ * static_cast<float>(acc[r][j]);
-      UPAQ_NO_CONTRACT(t);
-      yb[j] += t;
-    }
-    for (std::int64_t j = 0; j < kQNR; ++j) acc[r][j] = 0;
-  };
-  std::int64_t c = 0;
-  while (true) {
-    const std::int64_t stop =
-        ev != ev_end ? std::min<std::int64_t>(ev->col - pc, kc) : kc;
-    for (std::int64_t p = c; p < stop; ++p) {
-      // Pair-interleaved panel layout: position p of pair q = p/2 sits at
-      // byte 2*r + (p & 1) (A) / 2*j + (p & 1) (B) within the pair.
-      const std::int8_t* arow = ap + (p >> 1) * 2 * kQMR + (p & 1);
-      const std::int8_t* brow = bp + (p >> 1) * 2 * kQNR + (p & 1);
-      for (int r = 0; r < kQMR; ++r) {
-        const std::int32_t w = arow[2 * r];
-        for (std::int64_t j = 0; j < kQNR; ++j)
-          acc[r][j] += w * static_cast<std::int32_t>(brow[2 * j]);
-      }
-    }
-    c = stop;
-    while (ev != ev_end && ev->col - pc == c) {
-      flush(static_cast<int>(ev->row), ev->scale);
-      ++ev;
-    }
-    if (c >= kc && (ev == ev_end || ev->col - pc > kc)) break;
-  }
-  (void)m;
-}
-
-#endif  // UPAQ_S8_VEC && __AVX2__
-
-}  // namespace
-
-void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
-                   const std::int32_t* row_off, float sx, std::int64_t n,
-                   float* y) {
-  const std::int64_t m = w.m, k = w.k, slab = w.slab;
-  const std::int64_t mpad = round_up(m, kQMR);
-  const std::int64_t row_panels = mpad / kQMR;
-  const std::int64_t stripes = (n + kQNC - 1) / kQNC;
-  const std::int64_t slab_pad = round_up(slab, 2);
-  auto stripe_body = [&](std::int64_t s0, std::int64_t s1) {
-    workspace::Scope ws;
-    std::int8_t* bp = ws.i8(slab_pad * kQNC);
-    for (std::int64_t s = s0; s < s1; ++s) {
-      const std::int64_t jc = s * kQNC;
-      const std::int64_t nw = std::min(kQNC, n - jc);
-      const std::int64_t jpanels = (nw + kQNR - 1) / kQNR;
-      for (std::int64_t pc = 0; pc < k; pc += slab) {
-        const std::int64_t kc = std::min(slab, k - pc);
-        const std::int64_t kcp = round_up(kc, 2);
-        q8_pack_b_slab(bp, qx, row_off, pc, kc, jc, nw);
-        // All slabs before this one are full (kc == slab), so their padded
-        // depth is slab_pad — mirrors q8_pack_a's running offset.
-        const std::int8_t* aslab =
-            w.data.data() + mpad * (pc / slab) * slab_pad;
-        for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-          const std::int64_t jv = std::min(kQNR, nw - jp * kQNR);
-          for (std::int64_t ip = 0; ip < row_panels; ++ip) {
-            const auto& evs = w.events[static_cast<std::size_t>(ip)];
-            // Events with col in (pc, pc + kc] fire inside this slab; slab
-            // cuts are group boundaries, so no event range straddles slabs.
-            const QFlush* lo = std::lower_bound(
-                evs.data(), evs.data() + evs.size(), pc + 1,
-                [](const QFlush& e, std::int64_t col) { return e.col < col; });
-            const QFlush* hi = std::lower_bound(
-                lo, evs.data() + evs.size(), pc + kc + 1,
-                [](const QFlush& e, std::int64_t col) { return e.col < col; });
-            q8_micro_tile(aslab + ip * kQMR * kcp, bp + jp * kcp * kQNR, kc,
-                          pc, lo, hi, sx, y, n, jc + jp * kQNR, jv, ip * kQMR,
-                          m);
-          }
-        }
-      }
-    }
-  };
-  if (m * k * n < kMinParallelWork) {
-    stripe_body(0, stripes);
-  } else {
-    parallel::parallel_for(0, stripes, 1, stripe_body);
-  }
 }
 
 namespace {

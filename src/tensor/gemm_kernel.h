@@ -24,9 +24,10 @@
 // All scratch (panel packs) comes from workspace::Scope — steady-state calls
 // allocate nothing.
 //
-// The TU also hosts the packed path's other hot loops for its -march=native
-// codegen: the int8 activation quantizer, the zero-padded plane build the
-// packed conv reads its taps from (PlaneLayout), and the eval BatchNorm.
+// The TU also hosts the packed path's hot loops for its -march=native
+// codegen: the integer segment GEMM, the int8 activation quantizer, the
+// zero-padded plane build the packed conv reads its taps from
+// (PlaneLayout), and the eval BatchNorm.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,7 @@ struct QSegment {
   std::int64_t begin = 0, end = 0;
 };
 
-/// The whole segment-path integer GEMM (qnn::PackedGemm's sparse branch):
+/// The integer GEMM behind every qnn::PackedGemm::run:
 /// y(rows, n) = requant(Wq * Xq) + bias over the entry lists, column-blocked
 /// with the fused 1/2/3-entry kernels and the generic int32-accumulate path.
 /// Activation row p (the k index of an entry column) is the n bytes at
@@ -94,7 +95,7 @@ struct QSegment {
 /// the packed conv passes its plane offsets (see PlaneLayout). Per output
 /// element the operation order is: bias fill, then one requantizing
 /// multiply-add per segment in ascending segment order — the invariant every
-/// other integer path reproduces. Parallel over row chunks (disjoint
+/// column block, tail and ISA reproduces. Parallel over row chunks (disjoint
 /// outputs, shape-only gating), so thread-count independent; within a chunk
 /// the column block is the outer loop, so one block of activation bytes
 /// serves every row of the chunk while it is L1-hot.
@@ -114,71 +115,6 @@ void s8_gemm_segments(const std::int32_t* cols, const std::int32_t* codes,
                       const std::int32_t* row_off, float sx, std::int64_t n,
                       const float* bias, float* y, bool codes_fit_i8 = false);
 
-// ---------------------------------------------------------------------------
-// Panel-packed int8 GEMM (the dense-ish branch of the qnn integer path).
-//
-// Weight codes are decoded ONCE (at lowering time) into row-block-major int8
-// panels mirroring PackedA's slab layout, and the per-group requantization
-// metadata is reorganized into per-panel "flush events": ordered (column,
-// row, scale) points at which a row's int32 accumulator is requantized into
-// the float output. Because integer accumulation is exact and associative,
-// any k-blocking of the products is bitwise-free; the float operations per
-// output element (bias fill, then one t = s_g*s_x*sum multiply-add per
-// segment, in ascending column order) are exactly the segment engine's, so
-// the two paths produce bitwise identical outputs (tests/test_qgemm_kernel).
-
-// Register micro-tile of the int8 kernel: kQMR rows x kQNR int32 accumulator
-// lanes. Products widen int8 x int8 -> int16 (two k-steps pair-summed in
-// int16: |w*x| <= 127^2, twice that still fits) and accumulate in int32.
-inline constexpr std::int64_t kQMR = 6;
-inline constexpr std::int64_t kQNR = 8;
-// K slab depth (B pack granularity). The effective slab of a matrix is the
-// largest multiple of its uniform scale-group period <= kQKC, so slab cuts
-// always land on requant boundaries for every row.
-inline constexpr std::int64_t kQKC = 512;
-// Column-stripe width: the grain-1 parallel unit over N. Stripes own
-// disjoint output columns, so 1-vs-N-thread runs are bitwise identical.
-inline constexpr std::int64_t kQNC = 256;
-
-/// One requantization point of a panel row: fire (flush the row's int32
-/// accumulator with `scale`) when the k walk reaches `col`.
-struct QFlush {
-  std::int32_t col = 0;  ///< first column NOT in the segment
-  std::int32_t row = 0;  ///< row within the panel, [0, kQMR)
-  float scale = 1.0f;    ///< weight scale of the closing segment
-};
-
-/// Panel-packed int8 weight matrix with per-panel flush-event lists. Built
-/// once per layer by qnn (which owns the codes and the scale bookkeeping);
-/// consumed by q8_gemm_panel.
-struct QPanelA {
-  std::int64_t m = 0, k = 0;
-  std::int64_t slab = 0;  ///< k-slab depth; every slab cut is a group boundary
-  /// PackedA-style slab/panel layout with adjacent k positions
-  /// pair-interleaved ([a(p,r), a(p+1,r)] contiguous per row), matching the
-  /// micro-kernel's int16 multiply-add lanes; odd slab depths get a
-  /// zero-filled phantom position (an exact integer no-op).
-  std::vector<std::int8_t> data;
-  /// Per row-panel, sorted by column: the requantization schedule.
-  std::vector<std::vector<QFlush>> events;
-  bool empty() const { return m == 0; }
-};
-
-/// Packs a dense row-major int8 code matrix into QPanelA's pair-interleaved
-/// slab/panel layout (rows beyond m zero-filled). `slab` must be positive;
-/// the caller aligns it to the matrix's scale-group period. Does not touch
-/// `events`.
-void q8_pack_a(const std::int8_t* a, std::int64_t m, std::int64_t k,
-               std::int64_t slab, QPanelA& out);
-
-/// y(m, n) += requant(Wq * Xq) over a panel-packed weight: activation row p
-/// is the n bytes at qx + row_off[p] (s8_gemm_segments' convention), sx the
-/// activation scale; y must already hold the bias fill. Parallel grain: one
-/// kQNC column stripe per chunk.
-void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
-                   const std::int32_t* row_off, float sx, std::int64_t n,
-                   float* y);
-
 /// Symmetric activation quantization core (the hot half of
 /// qnn::quantize_acts_into, hosted here for the kernel TU's codegen):
 /// chunked-max abs scan, then per element one multiply, clamp, and
@@ -188,8 +124,8 @@ void q8_gemm_panel(const QPanelA& w, const std::int8_t* qx,
 /// identical at any vector width or thread count.
 float s8_quantize(const float* src, std::int64_t n, int bits, std::int8_t* dst);
 
-/// Zero-padded int8 activation planes: what the packed conv feeds the two
-/// GEMM kernels instead of an im2col matrix. For a k x k conv with stride s
+/// Zero-padded int8 activation planes: what the packed conv feeds the
+/// segment GEMM instead of an im2col matrix. For a k x k conv with stride s
 /// and pad p over a (c, h, w) map:
 ///   - the padded map (hp = h + 2p, wp = w + 2p) is split into s x s phase
 ///     planes; phase (a, b) holds padded positions (s*y + a, s*x + b), so it
@@ -203,10 +139,10 @@ float s8_quantize(const float* src, std::int64_t n, int bits, std::int8_t* dst);
 ///   - im2col row r = (ch*k + ky)*k + kx, the tap (ky, kx) of channel ch, is
 ///     then a constant offset:
 ///       row_off[r] = ((ch*s + ky%s)*s + kx%s) * plane + (ky/s)*wq + kx/s
-///     and the kernels read its n bytes at planes + row_off[r].
+///     and the GEMM reads its n bytes at planes + row_off[r].
 /// Footprint: `bytes` = max(planes_bytes, max_r row_off[r] + n). Past the
 /// last plane sits the slack that the discarded columns of the final output
-/// rows read; it is zero-filled. The kernels never read outside [0, bytes),
+/// rows read; it is zero-filled. The GEMM never reads outside [0, bytes),
 /// vector blocks included, so an exactly sized buffer is enough.
 struct PlaneLayout {
   std::int64_t c = 0, h = 0, w = 0;

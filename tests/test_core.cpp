@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/plan.h"
 #include "core/upaq.h"
@@ -122,6 +125,50 @@ TEST(Plan, SaveLoadRoundTrip) {
   EXPECT_EQ(lst.quant_group, 9);
   EXPECT_EQ(lst.pattern, "mixed(n=3,d=3)");
   EXPECT_TRUE(loaded.layers.at("head.cls").pattern.empty());
+  std::filesystem::remove(path);
+}
+
+TEST(Plan, LoadRejectsMalformedLines) {
+  const std::string path = ::testing::TempDir() + "/plan_malformed.plan";
+  const std::string head = "upaq-plan-v1\nUPAQ (HCK)\n";
+  // Lines of the kinds the committed zoo plans carry: bits {4, 8, 16, 32},
+  // modes 0-2, formats 0-1, groups {0, 9}.
+  const std::string good =
+      "block0.conv0\t0.777778\t4\t4\t2\t1\t9\tmixed(n=2,d=3)\n"
+      "block0.conv1\t0.37\t16\t32\t1\t0\t0\t-\n"
+      "head.cls\t0\t8\t8\t0\t0\t9\t-\n"
+      "neck.conv\t0.733218\t32\t32\t2\t1\t0\tentry-pattern(3)\n";
+  const auto write = [&](const std::string& body) {
+    std::ofstream(path) << head << body;
+  };
+  write(good);
+  EXPECT_EQ(core::load_plan(path).layers.size(), 4u);
+
+  // Each bad line sits on file line 4, after one good layer line.
+  const std::string first = "block0.conv0\t0.5\t8\t8\t2\t1\t9\t-\n";
+  for (const std::string bad : {
+           "block0.conv1\t0.5\t8\t8\t7\t1\t9\t-",    // mode 7
+           "block0.conv1\t0.5\t8\t8\t-1\t1\t9\t-",   // mode -1
+           "block0.conv1\t0.5\t8\t8\t2\t3\t9\t-",    // format 3
+           "block0.conv1\t0.5\t0\t8\t2\t1\t9\t-",    // storage bits 0
+           "block0.conv1\t0.5\t8\t33\t2\t1\t9\t-",   // compute bits 33
+           "block0.conv1\t-0.1\t8\t8\t2\t1\t9\t-",   // sparsity < 0
+           "block0.conv1\t1.5\t8\t8\t2\t1\t9\t-",    // sparsity > 1
+           "block0.conv1\tnan\t8\t8\t2\t1\t9\t-",    // NaN sparsity
+           "block0.conv1\t0.5\t8\t8\t2\t1\t-9\t-",   // negative group
+           "block0.conv1\t0.5\t8\t8\t2\t1\t9\t-\tx", // extra field
+           "block0.conv1\t0.5\t8\t8\t2\t1\t9",        // missing field
+           "block0.conv0\t0.5\t8\t8\t2\t1\t9\t-",    // duplicate layer
+       }) {
+    write(first + bad + "\n");
+    try {
+      (void)core::load_plan(path);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":4: "), std::string::npos)
+          << "error does not name the file and line: " << e.what();
+    }
+  }
   std::filesystem::remove(path);
 }
 

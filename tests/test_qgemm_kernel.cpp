@@ -1,23 +1,21 @@
-// Tests for the blocked panel-packed integer GEMM (tensor/gemm_kernel.h
-// q8_* entry points, driven through qnn::PackedGemm):
-//   - panel vs segment bitwise equivalence over a grid of shapes (edge
-//     tiles, multi-stripe n > NC, multi-slab k > KC), weight bits 2..8,
-//     group sizes (dividing, non-dividing, odd, per-tensor) and sparsity
-//     levels — both paths forced explicitly via PanelMode — plus the
-//     narrow-code (bits 2..4) shapes: odd k tails, odd multi-slab k and
-//     small odd scale groups;
-//   - the kAuto static rule at real layer geometries (bits <= 8 and mean
-//     segment length >= qnn::kPanelMinSegmentLength takes the panel kernel:
-//     per-tensor dense rows do, UPAQ's group-9 segments never do);
-//   - the packed conv engine on a pattern-pruned strided/padded conv, panel
-//     vs segment;
+// Tests for the packed path's integer GEMM (tensor/gemm_kernel.h
+// s8_gemm_segments, driven through qnn::PackedGemm):
+//   - the kernel against a test-local scalar replay of the segment contract
+//     (bias, then per scale segment t = (scale * sx) * float(exact integer
+//     sum) and y += t, in ascending order), bitwise, over edge shapes,
+//     multi-stripe n, odd k and k = 515, groups 9/7/5/3, dividing groups and
+//     per-tensor, weight bits 2..16 (including the int32 overflow split of
+//     long 16-bit rows), 70% sparsity with an all-zero row, rows of 63 and
+//     64 nonzero codes, at 1 and 4 threads;
 //   - the codes_fit_i8 segment blocks (64- and 16-column) vs the generic
 //     segment path, bitwise, around every block edge at 1 and 4 threads;
-//   - 1-thread vs 4-thread bitwise determinism of the panel kernel;
-//   - the steady-state zero-allocation contract for panel scratch;
+//   - 1-thread vs 4-thread bitwise determinism and the steady-state
+//     zero-allocation contract;
+//   - the packed conv's zero-padded planes against the frozen int8 im2col
+//     reference, bitwise, and inside exactly sized buffers;
 //   - the activation quantizer's vector body and tail vs the scalar
 //     expression, bitwise;
-//   - the qgemm_macs counter (surviving entries x columns, both paths).
+//   - the qgemm_macs counter (surviving entries x columns).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,24 +42,6 @@ namespace upaq {
 namespace {
 
 using qnn::PackedGemm;
-using PanelMode = qnn::PackedGemm::PanelMode;
-
-struct Case {
-  std::int64_t rows, k, n;
-};
-
-// Edge tiles relative to the MR=6 / NR=8 micro-tile, plus one multi-stripe
-// (n > kQNC = 256) and one multi-slab (k > kQKC = 512) entry. Odd k values
-// exercise the phantom pair position of the interleaved layout.
-const Case kCases[] = {
-    {1, 1, 1},      // degenerate everything
-    {6, 48, 8},     // exactly one full micro-tile grid
-    {7, 33, 13},    // ragged m/k/n on every grain
-    {5, 9, 3},      // m < MR, odd k
-    {23, 64, 72},   // several row panels, ragged last
-    {13, 520, 40},  // k > kQKC: multi-slab when the group divides k
-    {10, 64, 300},  // n > kQNC: multi-stripe
-};
 
 /// Weight matrix with an exact fraction of zeroed entries (deterministic
 /// stripe pattern so the zero count is shape-independent of rng state).
@@ -82,40 +62,103 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what) {
         << what << " diverges at flat index " << i;
 }
 
-/// Runs the same packed weight through both forced paths on identical
-/// activations and asserts bitwise equality of the outputs.
-void check_panel_vs_segment(const Tensor& w, std::int64_t rows, std::int64_t k,
-                            std::int64_t n, int bits, std::int64_t group,
-                            Rng& rng, const char* what) {
-  const qnn::PackedTensor packed =
-      qnn::pack(w, bits, group, quant::StorageFormat::kDense);
-  PackedGemm panel(packed, rows, k, PanelMode::kForcePanel);
-  PackedGemm segment(packed, rows, k, PanelMode::kForceSegment);
-  ASSERT_TRUE(panel.panel_active()) << what;
-  ASSERT_FALSE(segment.panel_active()) << what;
+/// Scalar replay of the segment contract, written from the packed tensor
+/// alone: out(rows, n) for activations qx laid out (k, n). A row's segments
+/// are its runs of nonzero codes that share a scale group, in ascending
+/// column order, each cut after `safe_len` entries so its integer sum fits
+/// int32 (the overflow split PackedGemm documents). Per output: the bias
+/// (0 when null), then per segment t = (scale * sx) * float(exact sum),
+/// rounded to float before y += t (the volatile store pins contraction).
+Tensor replay_reference(const qnn::PackedTensor& p, std::int64_t rows,
+                        std::int64_t k, const std::int8_t* qx, float sx,
+                        std::int64_t n, const float* bias) {
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(rows * k), 0);
+  for (std::int64_t i = 0; i < p.stored_count(); ++i)
+    codes[static_cast<std::size_t>(p.flat_index(i))] = p.code(i);
+  const std::int64_t group = p.effective_group();
+  const std::int64_t max_w = (std::int64_t{1} << (p.bits - 1)) - 1;
+  const std::int64_t safe_len = std::max<std::int64_t>(
+      1, ((std::int64_t{1} << 31) - 1) / (max_w * 127));
 
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  std::vector<float> bias(static_cast<std::size_t>(rows));
-  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
-
-  Tensor yp({rows, n}), ys({rows, n});
-  panel.run(qa, bias.data(), yp);
-  segment.run(qa, bias.data(), ys);
-  expect_bitwise_equal(yp, ys, what);
+  Tensor y({rows, n});
+  std::vector<std::int64_t> sum(static_cast<std::size_t>(n));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* yr = y.data() + r * n;
+    std::fill(yr, yr + n, bias != nullptr ? bias[r] : 0.0f);
+    std::int64_t seg_group = -1, seg_len = 0;
+    const auto flush = [&] {
+      if (seg_len == 0) return;
+      const float m = p.scales[static_cast<std::size_t>(seg_group)] * sx;
+      for (std::int64_t j = 0; j < n; ++j) {
+        volatile float t =
+            m * static_cast<float>(sum[static_cast<std::size_t>(j)]);
+        yr[j] += t;
+      }
+      seg_len = 0;
+    };
+    for (std::int64_t c = 0; c < k; ++c) {
+      const std::int32_t w = codes[static_cast<std::size_t>(r * k + c)];
+      if (w == 0) continue;
+      const std::int64_t g = (r * k + c) / group;
+      if (g != seg_group || seg_len == safe_len) {
+        flush();
+        seg_group = g;
+        std::fill(sum.begin(), sum.end(), 0);
+      }
+      for (std::int64_t j = 0; j < n; ++j)
+        sum[static_cast<std::size_t>(j)] +=
+            std::int64_t{w} * qx[static_cast<std::size_t>(c * n + j)];
+      ++seg_len;
+    }
+    flush();
+  }
+  return y;
 }
 
-TEST(QgemmKernel, PanelMatchesSegmentBitwise) {
+/// Packs `w` at (bits, group), runs PackedGemm on random activations and a
+/// random bias at 1 and 4 threads, and asserts both outputs equal the
+/// scalar replay bit for bit.
+void check_against_replay(const Tensor& w, std::int64_t rows, std::int64_t k,
+                          std::int64_t n, int bits, std::int64_t group,
+                          Rng& rng, const char* what,
+                          std::int64_t empty_row = -1) {
+  const qnn::PackedTensor packed =
+      qnn::pack(w, bits, group, quant::StorageFormat::kDense);
+  const PackedGemm g(packed, rows, k);
+  const qnn::QuantizedActs qa =
+      qnn::quantize_acts(Tensor::uniform({k, n}, rng), 8);
+  std::vector<float> bias(static_cast<std::size_t>(rows));
+  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
+  // A row with no surviving code keeps its bias bit for bit: -0.0 must not
+  // pick up a +0.0 requantization.
+  if (empty_row >= 0) bias[static_cast<std::size_t>(empty_row)] = -0.0f;
+  const Tensor want = replay_reference(packed, rows, k, qa.codes.data(),
+                                       qa.scale, n, bias.data());
+  for (const int threads : {1, 4}) {
+    parallel::set_thread_count(threads);
+    Tensor got({rows, n});
+    g.run(qa, bias.data(), got);
+    parallel::set_thread_count(1);
+    expect_bitwise_equal(got, want, what);
+  }
+}
+
+TEST(QgemmKernel, SegmentKernelMatchesScalarReplayBitwise) {
+  struct Case {
+    std::int64_t rows, k, n;
+  };
   Rng rng(4242);
-  for (const auto& c : kCases) {
-    for (int bits = 2; bits <= 8; ++bits) {
-      // Group sizes: per-tensor (0), an odd non-divisor (9), a power of two
-      // that divides k for the multi-slab case (8), and per-row (k). A
-      // group that does not divide k forces the single-slab packing with
-      // mid-stream flush events at drifting columns.
-      for (std::int64_t group : {std::int64_t{0}, std::int64_t{9},
-                                 std::int64_t{8}, c.k}) {
-        for (double zero_frac : {0.0, 0.3}) {
+  // Ragged shapes, k = 520 (16-bit per-tensor rows pass the int32 overflow
+  // split at 516 entries) and n = 300 (several parallel row chunks and
+  // column blocks). Groups: per tensor (0), an odd non-divisor (9), a
+  // power of two (8) and per row (k).
+  for (const Case c : {Case{1, 1, 1}, Case{6, 48, 8}, Case{7, 33, 13},
+                       Case{5, 9, 3}, Case{23, 64, 72}, Case{13, 520, 40},
+                       Case{10, 64, 300}})
+    for (int bits = 2; bits <= 16; ++bits)
+      for (const std::int64_t group :
+           {std::int64_t{0}, std::int64_t{9}, std::int64_t{8}, c.k})
+        for (const double zero_frac : {0.0, 0.3}) {
           const Tensor w = make_weight(c.rows, c.k, zero_frac, rng);
           char what[128];
           std::snprintf(what, sizeof(what),
@@ -124,153 +167,84 @@ TEST(QgemmKernel, PanelMatchesSegmentBitwise) {
                         static_cast<long long>(c.k),
                         static_cast<long long>(c.n), bits,
                         static_cast<long long>(group), zero_frac);
-          check_panel_vs_segment(w, c.rows, c.k, c.n, bits, group, rng, what);
+          check_against_replay(w, c.rows, c.k, c.n, bits, group, rng, what);
         }
-      }
-    }
-  }
-  // Narrow codes (bits 2..4) through the forced int8 panel: odd k (the
-  // phantom tail of the last pair), odd multi-slab k (k > kQKC), and small
-  // odd groups {9, 7, 5, 3} that do and do not divide k —
-  // non-divisors force the single-slab layout with drifting scale
-  // boundaries, divisors exercise the period-multiple slab rule.
-  const Case narrow[] = {
-      {6, 47, 16},    // odd k inside one micro-tile row
-      {11, 129, 24},  // odd k, several row panels
-      {9, 515, 18},   // odd multi-slab k with group-5 divisor
-  };
-  for (const auto& c : narrow) {
-    for (std::int64_t group : {std::int64_t{9}, std::int64_t{7},
-                               std::int64_t{5}, std::int64_t{3}}) {
-      for (int bits = 2; bits <= 4; ++bits) {
+  // Odd k (47, 129, 515) with small odd groups {9, 7, 5, 3} that do and do
+  // not divide k, so scale boundaries drift across rows.
+  for (const Case c : {Case{6, 47, 16}, Case{11, 129, 24}, Case{9, 515, 18}})
+    for (const std::int64_t group : {std::int64_t{9}, std::int64_t{7},
+                                     std::int64_t{5}, std::int64_t{3}})
+      for (int bits = 2; bits <= 16; ++bits) {
         const Tensor w = make_weight(c.rows, c.k, 0.2, rng);
         char what[128];
         std::snprintf(what, sizeof(what),
-                      "narrow m=%lld k=%lld n=%lld bits=%d group=%lld",
+                      "odd m=%lld k=%lld n=%lld bits=%d group=%lld",
                       static_cast<long long>(c.rows),
                       static_cast<long long>(c.k),
                       static_cast<long long>(c.n), bits,
                       static_cast<long long>(group));
-        check_panel_vs_segment(w, c.rows, c.k, c.n, bits, group, rng, what);
+        check_against_replay(w, c.rows, c.k, c.n, bits, group, rng, what);
       }
-    }
-  }
-}
-
-TEST(QgemmKernel, ForcedPanelOnHighSparsityMatchesSegment) {
-  // Short segments on a sparse matrix never take the panel under kAuto;
-  // forcing it must still be bitwise identical (zero codes contribute
-  // exactly nothing to integer accumulators, and all-zero groups emit no
-  // flush event on either path).
-  Rng rng(777);
-  const std::int64_t rows = 19, k = 96, n = 37;
-  const Tensor w = make_weight(rows, k, 0.7, rng);
-  check_panel_vs_segment(w, rows, k, n, 4, 16, rng, "70% sparse forced panel");
-}
-
-/// The kernel kAuto picks for `w` packed as a (rows, k) GEMM.
-PackedGemm::KernelKind auto_kind(const Tensor& w, std::int64_t rows,
-                                 std::int64_t k, int bits,
-                                 std::int64_t group) {
-  return PackedGemm(qnn::pack(w, bits, group, quant::StorageFormat::kDense),
-                    rows, k)
-      .kernel_kind();
-}
-
-TEST(QgemmKernel, AutoDispatchFollowsSegmentLengthRule) {
-  Rng rng(31);
-  // Dense group-9 1x1 head (PointPillars head.reg: 16 outputs over 48
-  // channels): groups straddle rows, segments are <= 9 entries -> segment.
-  EXPECT_EQ(auto_kind(make_weight(16, 48, 0.0, rng), 16, 48, 8, 9),
-            PackedGemm::KernelKind::kSegment);
-
-  // n=2 pattern-pruned 3x3 conv, 4-bit codes, group 9 (one scale per
-  // kernel): two surviving taps per kernel -> segment.
+  // 70% sparsity: short and all-zero groups; row 0 has no code at all.
   {
-    Rng crng(32);
-    nn::Conv2d conv(16, 24, 3, 1, 1, false, crng, "pat");
-    const auto pats = prune::all_patterns(2, 3);
-    const Tensor mask =
-        prune::expand_kernel_mask(pats[3], conv.weight().value.shape());
-    Tensor w = conv.weight().value;
-    w.mul_(mask);
-    const auto p =
-        qnn::pack(w, 4, 9, quant::StorageFormat::kPatternSparse, mask);
-    EXPECT_EQ(PackedGemm(p, 24, 16 * 9).kernel_kind(),
-              PackedGemm::KernelKind::kSegment);
+    const std::int64_t rows = 19, k = 96, n = 37;
+    Tensor w = make_weight(rows, k, 0.7, rng);
+    for (std::int64_t c = 0; c < k; ++c) w[c] = 0.0f;
+    for (const std::int64_t group : {std::int64_t{16}, std::int64_t{0}})
+      check_against_replay(w, rows, k, n, 4, group, rng, "70% sparse", 0);
   }
-
-  // Per-tensor (group 0) dense 8-bit 3x3 conv: one segment per 576-wide
-  // row -> the int8 panel, bitwise equal to the segment kernel.
-  {
-    const std::int64_t rows = 64, k = 576, n = 37;
-    const Tensor w = make_weight(rows, k, 0.0, rng);
-    const auto p = qnn::pack(w, 8, 0, quant::StorageFormat::kDense);
-    PackedGemm g(p, rows, k);
-    EXPECT_EQ(g.kernel_kind(), PackedGemm::KernelKind::kInt8Panel);
-    PackedGemm seg(p, rows, k, PanelMode::kForceSegment);
-    const qnn::QuantizedActs qa =
-        qnn::quantize_acts(Tensor::uniform({k, n}, rng), 8);
-    std::vector<float> bias(static_cast<std::size_t>(rows), -0.25f);
-    Tensor ya({rows, n}), ys({rows, n});
-    g.run(qa, bias.data(), ya);
-    seg.run(qa, bias.data(), ys);
-    expect_bitwise_equal(ya, ys, "auto per-tensor panel vs segment");
-  }
-
-  // 16-bit codes do not fit the int8 panel, however long the rows.
-  EXPECT_EQ(auto_kind(make_weight(64, 576, 0.0, rng), 64, 576, 16, 0),
-            PackedGemm::KernelKind::kSegment);
-
-  // The boundary itself: rows of exactly kPanelMinSegmentLength nonzero
-  // codes take the panel, one entry narrower stays on segment (+-1 weights,
-  // so no code rounds to zero and drops out of the entry list).
-  const auto unit = [](std::int64_t rows, std::int64_t k) {
-    Tensor w({rows, k});
+  // Rows of 63 and 64 nonzero codes in one per-tensor segment each (+-1
+  // weights, so no code rounds to zero and drops out of the entry list).
+  for (const std::int64_t k : {63, 64}) {
+    Tensor w({8, k});
     for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = i % 3 ? 1.0f : -1.0f;
-    return w;
-  };
-  const std::int64_t at = qnn::kPanelMinSegmentLength;
-  EXPECT_EQ(auto_kind(unit(8, at), 8, at, 8, 0),
-            PackedGemm::KernelKind::kInt8Panel);
-  EXPECT_EQ(auto_kind(unit(8, at - 1), 8, at - 1, 8, 0),
-            PackedGemm::KernelKind::kSegment);
+    for (const int bits : {4, 8})
+      check_against_replay(w, 8, k, 200, bits, 0, rng,
+                           k == 63 ? "63-entry rows" : "64-entry rows");
+  }
 }
 
 TEST(QgemmKernel, ThreadCountInvariantBitwise) {
-  // Multi-stripe n and several row panels so the parallel dispatch actually
-  // splits work; 1-thread and 4-thread runs must be bitwise equal on both
-  // paths (the requantization order is a property of the entry layout).
-  // Two operands: 6-bit codes with a k-dividing group, and 4-bit codes
-  // with an odd non-dividing group over an odd k.
+  // Multi-chunk n and several row chunks so the parallel dispatch actually
+  // splits work; 1-thread and 4-thread runs must be bitwise equal (the
+  // requantization order is a property of the entry layout). Operands:
+  // 6-bit codes with a k-dividing group, 4-bit codes with an odd
+  // non-dividing group over an odd k, and 16-bit codes on the generic int32
+  // path. After a 1-thread warm-up, further runs must also be
+  // allocation-free: their scratch comes from the workspace arena.
   Rng rng(999);
   struct TCase {
     std::int64_t rows, k, n;
     int bits;
     std::int64_t group;
   };
-  for (const TCase c : {TCase{30, 128, 520, 6, 32}, TCase{27, 131, 530, 4, 7}}) {
+  for (const TCase c : {TCase{30, 128, 520, 6, 32}, TCase{27, 131, 530, 4, 7},
+                        TCase{24, 300, 310, 16, 9}}) {
     const Tensor w = make_weight(c.rows, c.k, 0.25, rng);
-    const auto packed =
-        qnn::pack(w, c.bits, c.group, quant::StorageFormat::kDense);
+    const PackedGemm g(
+        qnn::pack(w, c.bits, c.group, quant::StorageFormat::kDense), c.rows,
+        c.k);
     const Tensor x = Tensor::uniform({c.k, c.n}, rng);
     const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
     std::vector<float> bias(static_cast<std::size_t>(c.rows), 0.125f);
 
-    for (PanelMode mode : {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
-      PackedGemm g(packed, c.rows, c.k, mode);
-      parallel::set_thread_count(1);
-      Tensor y1({c.rows, c.n});
-      g.run(qa, bias.data(), y1);
-      parallel::set_thread_count(4);
-      Tensor y4({c.rows, c.n});
-      g.run(qa, bias.data(), y4);
-      parallel::set_thread_count(1);
-      expect_bitwise_equal(y1, y4,
-                           mode == PanelMode::kForcePanel
-                               ? "panel thread-count divergence"
-                               : "segment thread-count divergence");
-    }
+    parallel::set_thread_count(4);
+    Tensor y4({c.rows, c.n});
+    g.run(qa, bias.data(), y4);
+    parallel::set_thread_count(1);
+    { workspace::Scope flush; }  // drain earlier cached blocks
+    Tensor y1({c.rows, c.n});
+    g.run(qa, bias.data(), y1);  // warm-up
+    expect_bitwise_equal(y1, y4, "segment thread-count divergence");
+
+    const workspace::Stats warm = workspace::stats();
+    for (int i = 0; i < 5; ++i) g.run(qa, bias.data(), y1);
+    const workspace::Stats steady = workspace::stats();
+    EXPECT_EQ(steady.block_allocs, warm.block_allocs)
+        << "steady-state run() grew the workspace arena";
+    EXPECT_GT(steady.reuses, warm.reuses)
+        << "run() did not route its scratch through the arena";
+    expect_bitwise_equal(y1, y4, "segment steady-state divergence");
   }
 }
 
@@ -343,61 +317,6 @@ TEST(QgemmKernel, SegmentI8BlocksMatchGenericPathBitwise) {
   }
 }
 
-TEST(QgemmKernel, SteadyStatePanelRunsDoNotGrowArena) {
-  // The panel kernel's B-pack scratch comes from the workspace arena; after
-  // warm-up, repeated run() calls must be allocation-free. Single-threaded
-  // so the main thread's arena observes every allocation.
-  parallel::set_thread_count(1);
-  { workspace::Scope flush; }  // drain earlier tests' cached blocks
-  Rng rng(1212);
-  const std::int64_t rows = 24, k = 300, n = 310;
-  const Tensor w = make_weight(rows, k, 0.0, rng);
-  const auto packed = qnn::pack(w, 8, 0, quant::StorageFormat::kDense);
-  PackedGemm g(packed, rows, k, PanelMode::kForcePanel);
-  const Tensor x = Tensor::uniform({k, n}, rng);
-  const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
-  Tensor y({rows, n});
-
-  for (int i = 0; i < 2; ++i) g.run(qa, nullptr, y);  // warm-up
-  const workspace::Stats warm = workspace::stats();
-  for (int i = 0; i < 5; ++i) g.run(qa, nullptr, y);
-  const workspace::Stats steady = workspace::stats();
-  EXPECT_EQ(steady.block_allocs, warm.block_allocs)
-      << "steady-state panel run() grew the workspace arena";
-  EXPECT_GT(steady.reuses, warm.reuses)
-      << "panel run() did not route its pack scratch through the arena";
-}
-
-TEST(QgemmKernel, PackedConv2dPanelForwardMatchesSegmentBitwise) {
-  // End to end through the conv engine on a pattern-pruned, strided, padded
-  // conv: the int8 im2col gather feeds the forced panel and the forced
-  // segment kernel — identical outputs, bitwise, including padding rows
-  // (padded positions are zero codes on both).
-  Rng rng(31337);
-  nn::Conv2d conv(6, 10, 3, 2, 1, true, rng, "pat_conv");
-  const std::vector<prune::KernelPattern> pats = prune::all_patterns(2, 3);
-  const Tensor mask =
-      prune::expand_kernel_mask(pats[5], conv.weight().value.shape());
-  for (std::int64_t i = 0; i < conv.weight().value.numel(); ++i)
-    conv.weight().value[i] *= mask[i];
-  conv.weight().mark_mutated();
-
-  qnn::LowerSpec spec;
-  spec.weight_bits = 4;
-  spec.group_size = 9;
-  spec.mode = PanelMode::kForcePanel;
-  qnn::PackedConv2d panel(conv, spec);
-  spec.mode = PanelMode::kForceSegment;
-  qnn::PackedConv2d seg(conv, spec);
-  ASSERT_EQ(panel.gemm().kernel_kind(), PackedGemm::KernelKind::kInt8Panel);
-  ASSERT_EQ(seg.gemm().kernel_kind(), PackedGemm::KernelKind::kSegment);
-
-  const Tensor x = Tensor::uniform({2, 6, 13, 11}, rng);
-  const Tensor yp = panel.forward(x);
-  const Tensor ys = seg.forward(x);
-  expect_bitwise_equal(yp, ys, "conv panel-vs-segment forward");
-}
-
 /// The int8 im2col gather the packed conv ran before it read zero-padded
 /// planes, frozen here as the reference layout: row (ch*k + ky)*k + kx holds
 /// tap (ky, kx) of channel ch for every output position, code 0 where the
@@ -455,8 +374,7 @@ TEST(QgemmKernel, PlaneConvMatchesFrozenIm2colReferenceBitwise) {
   // frozen reference quantizes the same map, gathers the old im2col matrix
   // and runs PackedGemm::run over it: every output must agree bit for bit,
   // over kernel {1, 3} x stride {1, 2} x pad {0, 1} x three maps x batch
-  // {1, 2} x weight bits {4, 8, 16} x HCK/LCK patterns x forced panel and
-  // segment x 1 and 4 threads.
+  // {1, 2} x weight bits {4, 8, 16} x HCK/LCK patterns x 1 and 4 threads.
   struct Map {
     std::int64_t h, w;
   };
@@ -473,47 +391,40 @@ TEST(QgemmKernel, PlaneConvMatchesFrozenIm2colReferenceBitwise) {
             for (const std::int64_t batch : {1, 2}) {
               const Tensor x =
                   Tensor::uniform({batch, cin, map.h, map.w}, rng, -2.0f, 2.0f);
-              for (const int bits : {4, 8, 16})
-                for (const PanelMode mode :
-                     {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
-                  if (bits > 8 && mode == PanelMode::kForcePanel) continue;
-                  qnn::LowerSpec spec;
-                  spec.weight_bits = bits;
-                  spec.group_size = k * k;
-                  spec.mode = mode;
-                  qnn::PackedConv2d eng(*conv, spec);
-                  const std::int64_t oh = (map.h + 2 * pad - k) / stride + 1;
-                  const std::int64_t ow = (map.w + 2 * pad - k) / stride + 1;
-                  Tensor want({batch, cout, oh, ow});
-                  for (std::int64_t b = 0; b < batch; ++b) {
-                    const qnn::QuantizedActs q = qnn::quantize_acts(
-                        x.data() + b * cin * map.h * map.w, cin,
-                        map.h * map.w, eng.act_bits());
-                    const auto cols = reference_im2col(
-                        q.codes.data(), cin, map.h, map.w, k, stride, pad, oh,
-                        ow);
-                    eng.gemm().run(cols.data(), q.scale, oh * ow,
-                                   conv->bias()->value.data(),
-                                   want.data() + b * cout * oh * ow);
-                  }
-                  for (const int threads : {1, 4}) {
-                    parallel::set_thread_count(threads);
-                    const Tensor got = eng.forward(x);
-                    parallel::set_thread_count(1);
-                    char what[160];
-                    std::snprintf(what, sizeof(what),
-                                  "k%d s%d p%d %lldx%lld taps%d batch%lld "
-                                  "bits%d %s threads%d",
-                                  k, stride, pad, static_cast<long long>(map.h),
-                                  static_cast<long long>(map.w), taps,
-                                  static_cast<long long>(batch), bits,
-                                  mode == PanelMode::kForcePanel ? "panel"
-                                                                 : "segment",
-                                  threads);
-                    ASSERT_EQ(got.shape(), want.shape()) << what;
-                    expect_bitwise_equal(got, want, what);
-                  }
+              for (const int bits : {4, 8, 16}) {
+                qnn::LowerSpec spec;
+                spec.weight_bits = bits;
+                spec.group_size = k * k;
+                qnn::PackedConv2d eng(*conv, spec);
+                const std::int64_t oh = (map.h + 2 * pad - k) / stride + 1;
+                const std::int64_t ow = (map.w + 2 * pad - k) / stride + 1;
+                Tensor want({batch, cout, oh, ow});
+                for (std::int64_t b = 0; b < batch; ++b) {
+                  const qnn::QuantizedActs q = qnn::quantize_acts(
+                      x.data() + b * cin * map.h * map.w, cin,
+                      map.h * map.w, eng.act_bits());
+                  const auto cols = reference_im2col(
+                      q.codes.data(), cin, map.h, map.w, k, stride, pad, oh,
+                      ow);
+                  eng.gemm().run(cols.data(), q.scale, oh * ow,
+                                 conv->bias()->value.data(),
+                                 want.data() + b * cout * oh * ow);
                 }
+                for (const int threads : {1, 4}) {
+                  parallel::set_thread_count(threads);
+                  const Tensor got = eng.forward(x);
+                  parallel::set_thread_count(1);
+                  char what[160];
+                  std::snprintf(what, sizeof(what),
+                                "k%d s%d p%d %lldx%lld taps%d batch%lld "
+                                "bits%d threads%d",
+                                k, stride, pad, static_cast<long long>(map.h),
+                                static_cast<long long>(map.w), taps,
+                                static_cast<long long>(batch), bits, threads);
+                  ASSERT_EQ(got.shape(), want.shape()) << what;
+                  expect_bitwise_equal(got, want, what);
+                }
+              }
             }
           }
 }
@@ -564,7 +475,7 @@ TEST(QgemmKernel, ActQuantizerMatchesScalarReferenceBitwise) {
 TEST(QgemmKernel, PlaneBuildAndKernelsStayInsideExactBuffers) {
   // The packed conv carves its planes from the workspace arena, whose
   // neighbouring blocks would hide an over-read from AddressSanitizer. Here
-  // the plane pack, both GEMM kernels and the output grid run on exactly
+  // the plane pack, the segment GEMM and the output grid run on exactly
   // sized std::vectors, so any byte read past PlaneLayout::bytes (or written
   // past the grid) faults under the sanitizer build. The grid columns are
   // also checked against the frozen im2col reference, and every plane byte
@@ -617,25 +528,20 @@ TEST(QgemmKernel, PlaneBuildAndKernelsStayInsideExactBuffers) {
     const Tensor wt = make_weight(rows, k, 0.5, rng);
     const auto packed =
         qnn::pack(wt, 8, g.k * g.k, quant::StorageFormat::kDense);
-    for (const PanelMode mode :
-         {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
-      const PackedGemm gm(packed, rows, k, mode);
-      std::vector<float> grid(static_cast<std::size_t>(rows * l.n));
-      gm.run(planes.data(), row_off.data(), sx, l.n, l.oh * l.ow, nullptr,
-             grid.data());
-      Tensor want({rows, l.oh * l.ow});
-      gm.run(cols.data(), sx, l.oh * l.ow, nullptr, want.data());
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t oy = 0; oy < l.oh; ++oy)
-          for (std::int64_t ox = 0; ox < l.ow; ++ox)
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                          grid[static_cast<std::size_t>(r * l.n + oy * l.wq +
-                                                        ox)]),
-                      std::bit_cast<std::uint32_t>(
-                          want.at(r, oy * l.ow + ox)))
-                << (mode == PanelMode::kForcePanel ? "panel" : "segment")
-                << " grid column (" << oy << ", " << ox << ") of row " << r;
-    }
+    const PackedGemm gm(packed, rows, k);
+    std::vector<float> grid(static_cast<std::size_t>(rows * l.n));
+    gm.run(planes.data(), row_off.data(), sx, l.n, l.oh * l.ow, nullptr,
+           grid.data());
+    Tensor want({rows, l.oh * l.ow});
+    gm.run(cols.data(), sx, l.oh * l.ow, nullptr, want.data());
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t oy = 0; oy < l.oh; ++oy)
+        for (std::int64_t ox = 0; ox < l.ow; ++ox)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                        grid[static_cast<std::size_t>(r * l.n + oy * l.wq +
+                                                      ox)]),
+                    std::bit_cast<std::uint32_t>(want.at(r, oy * l.ow + ox)))
+              << "grid column (" << oy << ", " << ox << ") of row " << r;
   }
   // Offsets are int32: a map whose planes pass 2^31 bytes is refused.
   EXPECT_THROW(gemm::plane_layout(std::int64_t{1} << 16, 512, 512, 3, 1, 1),
@@ -643,8 +549,8 @@ TEST(QgemmKernel, PlaneBuildAndKernelsStayInsideExactBuffers) {
 }
 
 TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
-  // Counters only accumulate while tracing is on. Both paths charge the
-  // same work: surviving entries x output columns.
+  // Counters only accumulate while tracing is on. The GEMM charges
+  // surviving entries x output columns.
   Rng rng(555);
   const std::int64_t rows = 11, k = 40, n = 23;
   const Tensor w = make_weight(rows, k, 0.4, rng);
@@ -653,17 +559,15 @@ TEST(QgemmKernel, QgemmMacsCounterCountsEntriesTimesColumns) {
   const qnn::QuantizedActs qa = qnn::quantize_acts(x, 8);
   Tensor y({rows, n});
 
+  const PackedGemm g(packed, rows, k);
   prof::set_enabled(true);
-  for (PanelMode mode : {PanelMode::kForcePanel, PanelMode::kForceSegment}) {
-    PackedGemm g(packed, rows, k, mode);
-    const std::uint64_t before = prof::counter_value(prof::Counter::kQgemmMacs);
-    g.run(qa, nullptr, y);
-    const std::uint64_t delta =
-        prof::counter_value(prof::Counter::kQgemmMacs) - before;
-    EXPECT_EQ(delta, static_cast<std::uint64_t>(g.entry_count()) *
-                         static_cast<std::uint64_t>(n));
-  }
+  const std::uint64_t before = prof::counter_value(prof::Counter::kQgemmMacs);
+  g.run(qa, nullptr, y);
+  const std::uint64_t delta =
+      prof::counter_value(prof::Counter::kQgemmMacs) - before;
   prof::set_enabled(false);
+  EXPECT_EQ(delta, static_cast<std::uint64_t>(g.entry_count()) *
+                       static_cast<std::uint64_t>(n));
 }
 
 }  // namespace

@@ -445,17 +445,11 @@ TEST(QuantizedModel, IntegerPathMapMatchesFakeQuantPath) {
     EXPECT_GT(qmodel.lowered_layers(), 0);
     EXPECT_STREQ(qmodel.model_name(), "Quantized(PointPillars)");
 
-    // Kernel census: UPAQ's per-kernel scale groups keep every packed
-    // segment at <= 9 entries, so every lowered layer runs the segment
-    // kernel, and the layers priced on the integer path are exactly the
-    // layers carrying a packed engine.
+    // Lowering census: every lowered layer carries a packed engine, and the
+    // layers priced on the integer path are exactly those layers.
     std::set<std::string> engines, integer_rows;
     for (const auto& layer : model->layers())
-      if (const qnn::PackedGemm* g = qnn::attached_gemm(*layer)) {
-        engines.insert(layer->name());
-        EXPECT_EQ(g->kernel_kind(), qnn::PackedGemm::KernelKind::kSegment)
-            << layer->name();
-      }
+      if (layer->engine() != nullptr) engines.insert(layer->name());
     EXPECT_EQ(static_cast<int>(engines.size()), qmodel.lowered_layers());
     for (const auto& l : qmodel.cost_profile())
       if (l.integer_path) integer_rows.insert(l.name);
