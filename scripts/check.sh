@@ -163,11 +163,14 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # walk, dropout filter) and the suite's report assembly are fresh code.
 # test_prune rides along: its pattern/mask contracts produce the pruned
 # weights whose zero layout the packer turns into entry lists.
-echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune + nn + detectors suites under UPAQ_SANITIZE=address,undefined"
+# test_tensor and test_data cover the in-repo MT19937-64, the batched
+# normals' stack buffers and the render's direct plane writes, including
+# the hostile-box renders (NaN/inf/huge coordinates).
+echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune + nn + detectors + tensor + data suites under UPAQ_SANITIZE=address,undefined"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune test_nn test_detectors
-UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune|test_nn|test_detectors' --output-on-failure
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune test_nn test_detectors test_tensor test_data
+UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune|test_nn|test_detectors|test_tensor|test_data' --output-on-failure
 # The serve pipeline overlaps stages across pool lanes and recycles batch
 # slots — ASan watches the slot/workspace lifetimes, and the traced run
 # keeps every span live while the stages overlap.
@@ -181,11 +184,14 @@ UPAQ_TRACE=1 UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_prof|test_obs|
 # -mno-avx512f runs them on every column:
 # GCC keeps the explicit -mno-avx512f over what the kernel TU's later
 # -march=native implies, so that TU compiles without AVX-512 (an AVX2 host
-# in miniature) and its suites must still pass bitwise.
-echo "==> qgemm + qnn + nn suites with the kernel TU built without AVX-512"
+# in miniature) and its suites must still pass bitwise. rng.cpp shares the
+# kernel TU's options: test_tensor and test_data check its engine and
+# batched normals against libstdc++'s, and the frozen render hashes, on the
+# AVX2 code generation too.
+echo "==> qgemm + qnn + nn + tensor + data suites with the native TUs built without AVX-512"
 NOAVX512_DIR="${BUILD_DIR}-noavx512"
 cmake -B "$NOAVX512_DIR" -S . -DCMAKE_CXX_FLAGS=-mno-avx512f
-cmake --build "$NOAVX512_DIR" -j "$JOBS" --target test_qgemm_kernel test_qnn test_nn
-UPAQ_THREADS=4 ctest --test-dir "$NOAVX512_DIR" -R '^(test_qgemm_kernel|test_qnn|test_nn)$' --output-on-failure
+cmake --build "$NOAVX512_DIR" -j "$JOBS" --target test_qgemm_kernel test_qnn test_nn test_tensor test_data
+UPAQ_THREADS=4 ctest --test-dir "$NOAVX512_DIR" -R '^(test_qgemm_kernel|test_qnn|test_nn|test_tensor|test_data)$' --output-on-failure
 
 echo "check.sh: OK (tier1 passed serial, 4-thread, and traced; perf + serve + scenario + metrics smokes, ratchet, recall gate, bench-regression gate, sanitizers and no-AVX-512 suites green)"

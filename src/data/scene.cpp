@@ -284,29 +284,42 @@ void Camera::unproject(float u, float v, float depth, float& x, float& y,
 
 Tensor render_camera(const Scene& scene, const Camera& cam, Rng& rng) {
   Tensor img({3, cam.height, cam.width});
+  const std::size_t plane =
+      static_cast<std::size_t>(cam.height) * static_cast<std::size_t>(cam.width);
+  float* const chan[3] = {img.data(), img.data() + plane, img.data() + 2 * plane};
+  // Fills columns [u0, u1] of row v with one (r, g, b).
+  auto fill_row = [&](int v, int u0, int u1, float r, float g, float b) {
+    const std::size_t row = static_cast<std::size_t>(v) * cam.width;
+    std::fill(chan[0] + row + u0, chan[0] + row + u1 + 1, r);
+    std::fill(chan[1] + row + u0, chan[1] + row + u1 + 1, g);
+    std::fill(chan[2] + row + u0, chan[2] + row + u1 + 1, b);
+  };
   // Background: sky gradient above the horizon line, textured road below.
   const float horizon = cam.cy - 2.0f;
   for (int v = 0; v < cam.height; ++v) {
-    for (int u = 0; u < cam.width; ++u) {
-      float r, g, b;
-      if (static_cast<float>(v) < horizon) {
-        const float t = static_cast<float>(v) / std::max(horizon, 1.0f);
-        r = 0.45f + 0.1f * t;
-        g = 0.55f + 0.1f * t;
-        b = 0.75f;
-      } else {
-        const float t = (static_cast<float>(v) - horizon) /
-                        std::max(static_cast<float>(cam.height) - horizon, 1.0f);
-        r = g = b = 0.28f + 0.1f * t;
-      }
-      img.at(0, v, u) = r;
-      img.at(1, v, u) = g;
-      img.at(2, v, u) = b;
+    float r, g, b;
+    if (static_cast<float>(v) < horizon) {
+      const float t = static_cast<float>(v) / std::max(horizon, 1.0f);
+      r = 0.45f + 0.1f * t;
+      g = 0.55f + 0.1f * t;
+      b = 0.75f;
+    } else {
+      const float t = (static_cast<float>(v) - horizon) /
+                      std::max(static_cast<float>(cam.height) - horizon, 1.0f);
+      r = g = b = 0.28f + 0.1f * t;
     }
+    fill_row(v, 0, cam.width - 1, r, g, b);
   }
-  // Draw objects far-to-near so nearer objects occlude farther ones.
+  // Draw objects far-to-near so nearer objects occlude farther ones. A box
+  // with a non-finite field is skipped before the sort (a NaN x would break
+  // the comparator's strict weak ordering) and draws nothing.
   std::vector<const eval::Box3D*> order;
-  for (const auto& obj : scene.objects) order.push_back(&obj);
+  for (const auto& obj : scene.objects) {
+    bool finite = true;
+    for (float f : {obj.x, obj.y, obj.z, obj.length, obj.width, obj.height, obj.yaw})
+      finite = finite && std::isfinite(f);
+    if (finite) order.push_back(&obj);
+  }
   std::sort(order.begin(), order.end(),
             [](const eval::Box3D* a, const eval::Box3D* b) { return a->x > b->x; });
   for (const auto* obj : order) {
@@ -333,19 +346,22 @@ Tensor render_camera(const Scene& scene, const Camera& cam, Rng& rng) {
     const float albedo = rng.uniform(0.35f, 0.95f);
     const float shade = albedo * std::min(1.0f, 14.0f / obj->x);
     const float hue = rng.uniform(-0.12f, 0.12f);
-    const int u0 = std::max(0, static_cast<int>(std::floor(umin)));
-    const int u1 = std::min(cam.width - 1, static_cast<int>(std::ceil(umax)));
-    const int v0 = std::max(0, static_cast<int>(std::floor(vmin)));
-    const int v1 = std::min(cam.height - 1, static_cast<int>(std::ceil(vmax)));
+    // The hull bounds are clamped to the image while still float (a far
+    // off-screen corner can exceed int range); a bound past the opposite
+    // edge still yields an empty span, exactly as before the clamp, and an
+    // empty column span is skipped since fill_row needs u0 <= u1.
+    const float w = static_cast<float>(cam.width), h = static_cast<float>(cam.height);
+    const int u0 = static_cast<int>(std::clamp(std::floor(umin), 0.0f, w));
+    const int u1 = static_cast<int>(std::clamp(std::ceil(umax), -1.0f, w - 1.0f));
+    const int v0 = static_cast<int>(std::clamp(std::floor(vmin), 0.0f, h));
+    const int v1 = static_cast<int>(std::clamp(std::ceil(vmax), -1.0f, h - 1.0f));
+    if (u0 > u1) continue;
     for (int v = v0; v <= v1; ++v) {
-      for (int u = u0; u <= u1; ++u) {
-        // Simple body shading: darker toward the bottom (shadow).
-        const float frac = (v1 > v0) ? static_cast<float>(v - v0) / (v1 - v0) : 0.0f;
-        const float body = shade * (1.0f - 0.35f * frac);
-        img.at(0, v, u) = std::clamp(body + hue, 0.0f, 1.0f);
-        img.at(1, v, u) = std::clamp(body, 0.0f, 1.0f);
-        img.at(2, v, u) = std::clamp(body - hue, 0.0f, 1.0f);
-      }
+      // Simple body shading: darker toward the bottom (shadow).
+      const float frac = (v1 > v0) ? static_cast<float>(v - v0) / (v1 - v0) : 0.0f;
+      const float body = shade * (1.0f - 0.35f * frac);
+      fill_row(v, u0, u1, std::clamp(body + hue, 0.0f, 1.0f),
+               std::clamp(body, 0.0f, 1.0f), std::clamp(body - hue, 0.0f, 1.0f));
     }
   }
   // Night / low-contrast conditions: rescale the lit image around the
@@ -356,9 +372,16 @@ Tensor render_camera(const Scene& scene, const Camera& cam, Rng& rng) {
     for (auto& p : img.flat())
       p = std::clamp(mid + (p * rc.ambient - mid) * rc.contrast, 0.0f, 1.0f);
   }
-  // Sensor noise (low light is noisier).
-  for (auto& p : img.flat()) {
-    p = std::clamp(p + rng.normal(0.0f, rc.noise_sd), 0.0f, 1.0f);
+  // Sensor noise (low light is noisier), in the pixel order of one
+  // rng.normal(0, noise_sd) per pixel.
+  constexpr std::size_t kNoiseChunk = 512;
+  float noise[kNoiseChunk];
+  const std::span<float> px = img.flat();
+  for (std::size_t i = 0; i < px.size(); i += kNoiseChunk) {
+    const std::size_t n = std::min(kNoiseChunk, px.size() - i);
+    rng.normal_fill(noise, n, 0.0f, rc.noise_sd);
+    for (std::size_t k = 0; k < n; ++k)
+      px[i + k] = std::clamp(px[i + k] + noise[k], 0.0f, 1.0f);
   }
   return img;
 }

@@ -20,13 +20,21 @@ float wrap_half_pi(float a) {
   return a;
 }
 
+/// float -> uint64 that saturates: NaN and values below 0 give 0, values at
+/// or past 2^64 give the maximum. In range it truncates like the plain cast.
+std::uint64_t saturate_u64(float f) {
+  if (!(f > 0.0f)) return 0;
+  if (f >= 0x1p64f) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(f);
+}
+
 /// Deterministic seed derived from scene content so a scene renders to the
 /// same image every time it is observed (training and eval consistency).
 std::uint64_t scene_seed(const data::Scene& scene) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL + scene.points.size();
   for (const auto& obj : scene.objects) {
-    h ^= static_cast<std::uint64_t>((obj.x + 100.0f) * 977.0f) +
-         static_cast<std::uint64_t>((obj.y + 100.0f) * 1553.0f) * 0x100000001b3ULL;
+    h ^= saturate_u64((obj.x + 100.0f) * 977.0f) +
+         saturate_u64((obj.y + 100.0f) * 1553.0f) * 0x100000001b3ULL;
     h *= 0x100000001b3ULL;
   }
   return h;

@@ -241,10 +241,12 @@ TEST(UpaqCompressor, EndToEndInvariants) {
 
   // Every prunable layer appears in the plan.
   const auto& g = pp.topology();
-  for (int id = 0; id < g.size(); ++id)
-    if (g.prunable(id))
+  for (int id = 0; id < g.size(); ++id) {
+    if (g.prunable(id)) {
       EXPECT_TRUE(result.plan.layers.count(g.node(id).name))
           << g.node(id).name;
+    }
+  }
 
   // Pruned layers carry masks consistent with their values and the plan.
   for (const auto& [name, st] : result.plan.layers) {
@@ -254,8 +256,11 @@ TEST(UpaqCompressor, EndToEndInvariants) {
     if (st.sparsity > 0.0) {
       ASSERT_FALSE(w->mask.empty());
       EXPECT_NEAR(w->sparsity(), st.sparsity, 1e-9);
-      for (std::int64_t i = 0; i < w->value.numel(); ++i)
-        if (w->mask[i] == 0.0f) EXPECT_EQ(w->value[i], 0.0f);
+      for (std::int64_t i = 0; i < w->value.numel(); ++i) {
+        if (w->mask[i] == 0.0f) {
+          EXPECT_EQ(w->value[i], 0.0f);
+        }
+      }
     }
   }
 
@@ -336,9 +341,13 @@ TEST(Requantize, KeepsMasksAndGrid) {
   core::requantize(pp, result.plan);
   for (const auto& [name, st] : result.plan.layers) {
     auto* w = core::find_weight(pp, name);
-    if (st.sparsity > 0.0)
-      for (std::int64_t i = 0; i < w->value.numel(); ++i)
-        if (w->mask[i] == 0.0f) EXPECT_EQ(w->value[i], 0.0f);
+    if (st.sparsity > 0.0) {
+      for (std::int64_t i = 0; i < w->value.numel(); ++i) {
+        if (w->mask[i] == 0.0f) {
+          EXPECT_EQ(w->value[i], 0.0f);
+        }
+      }
+    }
   }
 }
 

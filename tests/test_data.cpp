@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "data/scenario.h"
 #include "data/scene.h"
@@ -130,6 +132,135 @@ TEST(RenderCamera, ShapeRangeAndCarVisibility) {
   EXPECT_LE(img.max(), 1.0f);
   // The image should not be constant (background gradient + noise + cars).
   EXPECT_GT(img.var(), 1e-4f);
+}
+
+/// FNV-1a over the bits of a render plus the engine word that follows it, so
+/// both the image and the number of draws the render consumed are pinned.
+std::uint64_t render_hash(const data::Scene& scene, std::uint64_t seed) {
+  Rng rng(seed);
+  const Tensor img = data::render_camera(scene, data::Camera{}, rng);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const float p : img.flat()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &p, sizeof bits);
+    mix(bits, 4);
+  }
+  mix(rng.engine()(), 8);
+  return h;
+}
+
+TEST(RenderCamera, FrozenRendersAndEngineState) {
+  // Values frozen from the scalar per-pixel Rng::normal render. Any change
+  // in a pixel bit or in the number of engine draws a render consumes (the
+  // next word is hashed too) breaks them. Night scenes take the ambient /
+  // contrast pass and sd 0.05; dropout_noise scenes carry the degraded
+  // sensor config with the default render.
+  struct Case {
+    data::ScenarioFamily family;
+    std::uint64_t seed;
+    std::uint64_t hash[3];
+  };
+  const Case cases[] = {
+      {data::ScenarioFamily::kBaseline, 11,
+       {14810537064026215336ULL, 18366194554256357124ULL, 9865416294693692069ULL}},
+      {data::ScenarioFamily::kNight, 12,
+       {10724515951881120507ULL, 8003241096869979391ULL, 15369219837631342247ULL}},
+      {data::ScenarioFamily::kDropoutNoise, 13,
+       {10513782386399601706ULL, 12994387024917862670ULL, 6129790268719370021ULL}},
+  };
+  for (const Case& c : cases) {
+    const auto scenes = data::make_scenario_scenes(c.family, 3, c.seed);
+    for (std::size_t i = 0; i < scenes.size(); ++i)
+      EXPECT_EQ(render_hash(scenes[i], c.seed * 100 + i), c.hash[i])
+          << data::scenario_name(c.family) << " scene " << i;
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+void expect_finite_unit(const Tensor& img) {
+  for (const float p : img.flat()) {
+    ASSERT_TRUE(std::isfinite(p));
+    ASSERT_GE(p, 0.0f);
+    ASSERT_LE(p, 1.0f);
+  }
+}
+
+TEST(RenderCamera, HostileBoxesDrawNothing) {
+  // Boxes with a non-finite field are skipped before the far-to-near sort (a
+  // NaN x would break its ordering) and finite boxes far behind the camera
+  // never project: either way they draw no albedo and no pixel, so the render
+  // equals the render without them.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto clean = data::make_scenario_scenes(data::ScenarioFamily::kBaseline, 1, 3)[0];
+  ASSERT_GE(clean.objects.size(), 2u);
+  data::Scene hostile = clean;
+  auto with = [&](auto edit) {
+    eval::Box3D b = clean.objects[0];
+    edit(b);
+    return b;
+  };
+  const std::vector<eval::Box3D> bad = {
+      with([&](eval::Box3D& b) { b.x = nan; }),
+      with([&](eval::Box3D& b) { b.y = nan; }),
+      with([&](eval::Box3D& b) { b.x = inf; }),
+      with([&](eval::Box3D& b) { b.y = -inf; }),
+      with([&](eval::Box3D& b) { b.height = inf; }),
+      with([&](eval::Box3D& b) { b.yaw = nan; }),
+      with([&](eval::Box3D& b) { b.x = -1e30f; }),
+      with([&](eval::Box3D& b) { b.x = -1e30f; b.y = 1e30f; }),
+  };
+  // Interleave them with the real boxes so the sort sees both.
+  hostile.objects.clear();
+  for (std::size_t i = 0; i < std::max(clean.objects.size(), bad.size()); ++i) {
+    if (i < bad.size()) hostile.objects.push_back(bad[i]);
+    if (i < clean.objects.size()) hostile.objects.push_back(clean.objects[i]);
+  }
+  for (const auto& rc : {data::RenderConditions{},
+                         data::scenario_config(data::ScenarioFamily::kNight).render}) {
+    hostile.render = rc;
+    data::Scene reference = clean;
+    reference.render = rc;
+    Rng ra(21), rb(21);
+    const Tensor got = data::render_camera(hostile, data::Camera{}, ra);
+    const Tensor want = data::render_camera(reference, data::Camera{}, rb);
+    expect_finite_unit(got);
+    EXPECT_TRUE(same_bits(got, want));
+    EXPECT_EQ(ra.engine()(), rb.engine()());
+  }
+}
+
+TEST(RenderCamera, HullBeyondIntRangeIsClamped) {
+  // A corner just in front of the camera with a huge lateral offset projects
+  // to |u| far past 2^31. Its hull lies off the image, so the box draws its
+  // albedo and hue and paints nothing: exactly what the same box at a
+  // moderate off-image offset does.
+  const auto clean = data::make_scenario_scenes(data::ScenarioFamily::kBaseline, 1, 4)[0];
+  for (const float y : {1e12f, -1e12f, 1e30f, -1e30f}) {
+    data::Scene huge = clean, moderate = clean;
+    eval::Box3D b = clean.objects[0];
+    b.x = 0.6f;
+    b.y = y;
+    huge.objects.push_back(b);
+    b.y = y > 0 ? 1000.0f : -1000.0f;
+    moderate.objects.push_back(b);
+    Rng ra(5), rb(5);
+    const Tensor got = data::render_camera(huge, data::Camera{}, ra);
+    const Tensor want = data::render_camera(moderate, data::Camera{}, rb);
+    expect_finite_unit(got);
+    EXPECT_TRUE(same_bits(got, want)) << "y " << y;
+    EXPECT_EQ(ra.engine()(), rb.engine()());
+  }
 }
 
 TEST(MakeDataset, SplitSizesFollow801010) {

@@ -334,6 +334,38 @@ TEST(Smoke, RenderIsDeterministicPerScene) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(Smoke, RenderSeedSaturatesOnHostileBoxes) {
+  // The per-scene render seed folds (x + 100) * 977 and (y + 100) * 1553 as
+  // uint64. Out of range they saturate (below 0 and NaN to 0, past 2^64 to
+  // the maximum), so boxes that differ only beyond those limits seed, and
+  // render, identically; none of them is visible.
+  Rng rng(9);
+  detectors::Smoke smoke(tiny_smoke(), rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto render_with = [&](float x, float y) {
+    data::Scene scene = simple_scene();
+    eval::Box3D b = scene.objects[0];
+    b.x = x;
+    b.y = y;
+    scene.objects.push_back(b);
+    return smoke.render(scene);
+  };
+  const std::pair<std::pair<float, float>, std::pair<float, float>> same_seed[] = {
+      {{-500.0f, 0.0f}, {-1e6f, 0.0f}},
+      {{-500.0f, -300.0f}, {-1e30f, nan}},
+      {{-1e20f, 1e30f}, {-1e25f, 3e38f}},
+  };
+  for (const auto& [a, b] : same_seed) {
+    const Tensor ra = render_with(a.first, a.second);
+    const Tensor rb = render_with(b.first, b.second);
+    for (std::int64_t i = 0; i < ra.numel(); ++i) {
+      ASSERT_TRUE(std::isfinite(ra[i]));
+      ASSERT_EQ(ra[i], rb[i]) << "(" << a.first << ", " << a.second << ") vs ("
+                              << b.first << ", " << b.second << ")";
+    }
+  }
+}
+
 TEST(Smoke, ObservesFiltersOutOfFrustum) {
   Rng rng(10);
   detectors::Smoke smoke(tiny_smoke(), rng);

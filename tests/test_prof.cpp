@@ -303,8 +303,9 @@ TEST_F(ProfTest, ChromeTraceIsBalancedAndOrderedPerThread) {
         static_cast<std::int64_t>(json_number_after(json, pos, "\"tid\": "));
     const double ts = json_number_after(json, pos, "\"ts\": ");
     const auto it = last_ts.find(tid);
-    if (it != last_ts.end())
+    if (it != last_ts.end()) {
       EXPECT_GT(ts, it->second) << "tid " << tid << " not strictly ordered";
+    }
     last_ts[tid] = ts;
     ++x_events;
     ++pos;
@@ -448,12 +449,15 @@ TEST_F(ProfTest, ServeStageSpansNestAndCountersMove) {
       ++stage_spans;
       EXPECT_TRUE(contained(e, "serve.step")) << e.name << " outside step";
     }
-    if (e.name == "pre.pillarize")
+    if (e.name == "pre.pillarize") {
       EXPECT_TRUE(contained(e, "serve.pre")) << "pillarize outside pre";
-    if (e.name == "detect.batch")
+    }
+    if (e.name == "detect.batch") {
       EXPECT_TRUE(contained(e, "serve.detect")) << "forward outside detect";
-    if (e.name == "post.nms")
+    }
+    if (e.name == "post.nms") {
       EXPECT_TRUE(contained(e, "serve.post")) << "nms outside post";
+    }
   }
   // 2 batches x 3 stages each.
   EXPECT_EQ(stage_spans, 6);

@@ -184,7 +184,9 @@ TEST(PackedStorage, StorageBitsAgreesWithBufferSize) {
       // Same accounting rule as quant::storage_bits with the actual counts.
       EXPECT_EQ(p.storage_bits(),
                 quant::storage_bits(x.numel(), p.stored_count(), bits, format));
-      if (format != StorageFormat::kDense) EXPECT_EQ(p.stored_count(), nz);
+      if (format != StorageFormat::kDense) {
+        EXPECT_EQ(p.stored_count(), nz);
+      }
       // The value buffer is exactly the value term, rounded up to bytes.
       EXPECT_EQ(static_cast<std::int64_t>(p.data.size()),
                 (p.stored_count() * bits + 7) / 8);

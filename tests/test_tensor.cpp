@@ -2,12 +2,19 @@
 // elementwise ops, GEMM/im2col correctness, and serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "tensor/ops.h"
+#include "tensor/rng.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
 
@@ -99,6 +106,89 @@ TEST(Tensor, RandomInitIsDeterministicPerSeed) {
   bool any_diff = false;
   for (std::int64_t i = 0; i < 16; ++i) any_diff |= a[i] != c[i];
   EXPECT_TRUE(any_diff);
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  const std::uint64_t seeds[] = {0,
+                                 5489,
+                                 0x5eed,
+                                 ~std::uint64_t{0},
+                                 0x243f6a8885a308d3ULL,
+                                 0x13198a2e03707344ULL,
+                                 0xa4093822299f31d0ULL};
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000000; ++i) {
+      const std::uint64_t a = ours(), b = ref();
+      ASSERT_EQ(a, b) << "seed " << seed << " draw " << i;
+    }
+  }
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+}
+
+TEST(Rng, EngineDefaultSeedTenThousandthDraw) {
+  // The value the C++ standard requires of a default-constructed
+  // mt19937_64 ([rand.predef]).
+  Mt19937_64 e;
+  std::uint64_t v = 0;
+  for (int i = 0; i < 10000; ++i) v = e();
+  EXPECT_EQ(v, 9981545732273789042ULL);
+}
+
+TEST(Rng, DrawsMatchStdEngineBackedDistributions) {
+  // The same draws through std::mt19937_64 directly: the in-repo engine
+  // must leave every std:: distribution's output unchanged.
+  Rng rng(42);
+  std::mt19937_64 ref(42);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(rng.uniform_int(-7, 300),
+              std::uniform_int_distribution<int>(-7, 300)(ref));
+    ASSERT_EQ(rng.uniform(-2.5f, 4.0f),
+              std::uniform_real_distribution<float>(-2.5f, 4.0f)(ref));
+    ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+    ASSERT_EQ(rng.normal(1.5f, 0.25f),
+              std::normal_distribution<float>(1.5f, 0.25f)(ref));
+  }
+  Rng child = rng.fork();
+  std::mt19937_64 ref_child(ref() ^ 0x9e3779b97f4a7c15ULL);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(child.engine()(), ref_child());
+  std::vector<int> a(257), b(257);
+  std::iota(a.begin(), a.end(), 0);
+  std::iota(b.begin(), b.end(), 0);
+  std::shuffle(a.begin(), a.end(), rng.engine());
+  std::shuffle(b.begin(), b.end(), ref);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(rng.engine()(), ref());
+}
+
+TEST(Rng, NormalFillMatchesScalarDraws) {
+  const std::size_t lengths[] = {0, 1, 2, 511, 512, 513, 36864};
+  const float sds[] = {0.0f, 0.02f, 0.05f};
+  std::uint64_t seed = 1;
+  for (const std::size_t n : lengths) {
+    for (const float sd : sds) {
+      // Start mid-block so rounds straddle an engine refill.
+      Rng batched(++seed), scalar(seed);
+      for (int i = 0; i < 7; ++i) {
+        batched.engine()();
+        scalar.engine()();
+      }
+      std::vector<float> got(n + 1, -9.0f);
+      batched.normal_fill(got.data(), n, 0.25f, sd);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float want = scalar.normal(0.25f, sd);
+        std::uint32_t gb = 0, wb = 0;
+        std::memcpy(&gb, &got[i], 4);
+        std::memcpy(&wb, &want, 4);
+        ASSERT_EQ(gb, wb) << "n " << n << " sd " << sd << " index " << i;
+      }
+      EXPECT_EQ(got[n], -9.0f) << "wrote past n=" << n;
+      EXPECT_EQ(batched.engine()(), scalar.engine()())
+          << "engine state differs after n " << n << " sd " << sd;
+    }
+  }
 }
 
 TEST(Tensor, KaimingScaleTracksFanIn) {

@@ -142,9 +142,11 @@ TEST(FineTuneWithMasks, SparsityIsPreservedThroughTraining) {
   }
   for (auto* p : pp.parameters()) {
     if (p->mask.empty()) continue;
-    for (std::int64_t i = 0; i < p->value.numel(); ++i)
-      if (p->mask[i] == 0.0f)
+    for (std::int64_t i = 0; i < p->value.numel(); ++i) {
+      if (p->mask[i] == 0.0f) {
         ASSERT_EQ(p->value[i], 0.0f) << p->name << " regrew at " << i;
+      }
+    }
   }
 }
 
