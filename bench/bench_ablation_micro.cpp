@@ -217,10 +217,9 @@ BENCHMARK(BM_PackedConv);
 
 // Always-on observability overhead: full detect() with the obs layer
 // enabled (Arg 1) vs runtime-disabled (Arg 0). The obs hot path per detect
-// is one histogram record + one counter add + a handful of arena gauge
-// ratchets; the two rows must agree within the noise floor (the acceptance
-// bar is 2% on detect p50). The compile-time kill (-DUPAQ_OBS_DISABLE=ON)
-// removes even the relaxed kill-switch loads.
+// is one histogram record (its count is the detect-call count) + a handful
+// of arena gauge ratchets; the two rows must agree within the noise floor
+// (the acceptance bar is 2% on detect p50).
 void BM_DetectObs(benchmark::State& state) {
   const bool obs_on = state.range(0) != 0;
   Rng rng(4242);

@@ -166,9 +166,13 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # test_tensor and test_data cover the in-repo MT19937-64, the batched
 # normals' stack buffers and the render's direct plane writes, including
 # the hostile-box renders (NaN/inf/huge coordinates).
-echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune + nn + detectors + tensor + data suites under UPAQ_SANITIZE=address,undefined"
+# GCC leaves float-cast-overflow out of `undefined`; it is listed so an
+# out-of-range float-to-int cast (the render's hull bounds, SMOKE's render
+# seed) is reported. UPAQ_SANITIZE builds with -fno-sanitize-recover=all,
+# so any UBSan report fails its test instead of printing and exiting 0.
+echo "==> qnn + quant + prof + serve + scenarios + gemm/workspace + prune + nn + detectors + tensor + data suites under UPAQ_SANITIZE=address,undefined,float-cast-overflow"
 ASAN_DIR="${BUILD_DIR}-asan"
-cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined
+cmake -B "$ASAN_DIR" -S . -DUPAQ_SANITIZE=address,undefined,float-cast-overflow
 cmake --build "$ASAN_DIR" -j "$JOBS" --target test_qnn test_quant test_prof test_obs test_serve test_scenarios test_gemm_kernel test_qgemm_kernel test_prune test_nn test_detectors test_tensor test_data
 UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_kernel|test_qgemm_kernel|test_scenarios|test_prune|test_nn|test_detectors|test_tensor|test_data' --output-on-failure
 # The serve pipeline overlaps stages across pool lanes and recycles batch

@@ -428,7 +428,6 @@ std::vector<eval::Box3D> PointPillars::decode(const Tensor& cls_logits,
 std::vector<eval::Box3D> PointPillars::detect(const data::Scene& scene) {
   prof::Span span("detect", "PointPillars");
   obs::ScopedTimer timer(obs::Hist::kDetect);
-  obs::add(obs::Counter::kDetects);
   set_training(false);
   ForwardState state;
   forward(scene, state);

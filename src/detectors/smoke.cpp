@@ -285,7 +285,6 @@ std::vector<eval::Box3D> Smoke::decode(const Tensor& hm_logits,
 std::vector<eval::Box3D> Smoke::detect(const data::Scene& scene) {
   prof::Span span("detect", "SMOKE");
   obs::ScopedTimer timer(obs::Hist::kDetect);
-  obs::add(obs::Counter::kDetects);
   set_training(false);
   ForwardState state;
   forward(render(scene), state);

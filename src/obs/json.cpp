@@ -8,6 +8,11 @@ namespace upaq::obs::json {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The repo's documents nest
+/// fewer than 10 levels; the cap keeps hostile input (bench_compare reads
+/// files named on its command line) from overflowing the recursion's stack.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
   const std::string& text;
   std::size_t pos = 0;
@@ -90,10 +95,13 @@ struct Parser {
     return fail("unterminated string");
   }
 
-  bool parse_value(Value& out) {
+  /// `depth` counts the arrays/objects enclosing this value.
+  bool parse_value(Value& out, int depth = 0) {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
+    if ((c == '{' || c == '[') && depth == kMaxDepth)
+      return fail("nesting deeper than 256 levels");
     if (c == '{') {
       ++pos;
       out.kind = Value::Kind::kObject;
@@ -106,7 +114,7 @@ struct Parser {
         skip_ws();
         if (!consume(':')) return fail("expected ':'");
         Value v;
-        if (!parse_value(v)) return false;
+        if (!parse_value(v, depth + 1)) return false;
         out.members.emplace_back(std::move(key), std::move(v));
         skip_ws();
         if (consume(',')) continue;
@@ -121,7 +129,7 @@ struct Parser {
       if (consume(']')) return true;
       while (true) {
         Value v;
-        if (!parse_value(v)) return false;
+        if (!parse_value(v, depth + 1)) return false;
         out.items.push_back(std::move(v));
         skip_ws();
         if (consume(',')) continue;

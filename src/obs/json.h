@@ -46,7 +46,8 @@ struct Value {
 };
 
 /// Strict parse of a complete document (trailing whitespace allowed, any
-/// other trailing content is an error). On failure returns false and, when
+/// other trailing content is an error; so is nesting more than 256
+/// arrays/objects deep). On failure returns false and, when
 /// `err` is non-null, a message with the byte offset.
 bool parse(const std::string& text, Value& out, std::string* err = nullptr);
 

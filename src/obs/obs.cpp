@@ -4,20 +4,17 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
 
-#include "obs/json.h"
-
 namespace upaq::obs {
 
 namespace {
 
-#ifndef UPAQ_OBS_DISABLED
 std::atomic<int> g_enabled{1};  // always-on by default
-#endif
 
 std::atomic<std::uint64_t> g_counters[static_cast<int>(Counter::kCount)];
 std::atomic<std::int64_t> g_gauges[static_cast<int>(Gauge::kCount)];
@@ -94,44 +91,14 @@ ExemplarSlot& exemplar_slot() {
   return *s;
 }
 
-void append_event_json(std::string& out, const Event& e) {
-  char buf[64];
-  out += "{\"seq\": ";
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(e.seq));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), ", \"t_ms\": %.3f", e.t_ms);
-  out += buf;
-  out += ", \"level\": \"";
-  out += level_name(e.level);
-  out += "\", \"event\": \"";
-  json::escape(out, e.name);
-  out += "\"";
-  for (const Field& f : e.fields) {
-    out += ", \"";
-    json::escape(out, f.key);
-    out += "\": ";
-    if (f.quoted) {
-      out += "\"";
-      json::escape(out, f.value);
-      out += "\"";
-    } else {
-      out += f.value;
-    }
-  }
-  out += "}";
-}
-
 }  // namespace
 
 const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kSubmitted: return "serve_submitted";
-    case Counter::kCompleted: return "serve_completed";
     case Counter::kShedCapacity: return "serve_shed_capacity";
     case Counter::kShedDeadline: return "serve_shed_deadline";
     case Counter::kBatches: return "serve_batches";
-    case Counter::kDetects: return "detect_scenes";
     case Counter::kCount: break;
   }
   return "?";
@@ -205,8 +172,6 @@ double HistSnapshot::mean_ms() const {
              : static_cast<double>(sum_ns) / static_cast<double>(count) * 1e-6;
 }
 
-#ifndef UPAQ_OBS_DISABLED
-
 bool enabled() { return g_enabled.load(std::memory_order_relaxed) == 1; }
 
 void set_enabled(bool on) {
@@ -265,8 +230,6 @@ void offer_exemplar(const RequestTrace& t) {
     s.set = true;
   }
 }
-
-#endif  // UPAQ_OBS_DISABLED
 
 std::uint64_t counter_value(Counter c) {
   return g_counters[static_cast<int>(c)].load(std::memory_order_relaxed);
@@ -382,15 +345,6 @@ std::uint64_t events_dropped() {
   Ring& r = ring();
   std::lock_guard<std::mutex> lock(r.mutex);
   return r.next_seq - r.events.size();
-}
-
-std::string events_jsonl() {
-  std::string out;
-  for (const Event& e : events()) {
-    append_event_json(out, e);
-    out += "\n";
-  }
-  return out;
 }
 
 RequestTrace exemplar() {

@@ -16,13 +16,14 @@
 //     merged snapshot is bitwise identical no matter how the same records
 //     were distributed across threads.
 //   - Counters: process-global monotonic relaxed atomics (submitted,
-//     completed, shed-by-reason, batches, detect calls).
+//     shed-by-reason, batches). Completed requests and detect() calls are
+//     the `count` of the kServeTotal and kDetect histograms.
 //   - Gauges: last-write-wins (queue depth, batch fill) or monotonic-max
 //     (arena high-water) atomics.
 //
 // On top of those, two bounded structures fed off the hot path:
 //
-//   - A ring-buffer structured event log (JSONL) for the rare,
+//   - A ring-buffer structured event log for the rare,
 //     must-be-explainable events: capacity/deadline sheds with reasons,
 //     recall-gate trips, model-variant lowering. Leveled via UPAQ_LOG_LEVEL
 //     (error|warn|info|debug); the ring overwrites oldest, and the dropped
@@ -33,13 +34,12 @@
 //     fact without a trace of every request.
 //
 // The runtime kill switch (set_enabled) reduces every record site to one
-// relaxed load; building with -DUPAQ_OBS_DISABLE=ON (macro UPAQ_OBS_DISABLED)
-// compiles the record sites out entirely for overhead-ablation builds.
+// relaxed load.
 // Timing feeds queueing decisions and reports, never arithmetic, so obs can
 // not perturb detections — the serve-vs-serial bitwise gate runs with it on.
 //
 // Layering: obs is the bottom of the link order — standard library only;
-// even prof sits above it (prof reuses obs's JSON escaping).
+// even prof sits above it (prof reuses obs's clock and JSON escaping).
 #pragma once
 
 #include <cstddef>
@@ -55,11 +55,9 @@ namespace upaq::obs {
 
 enum class Counter : int {
   kSubmitted = 0,    ///< serve: requests accepted by submit()
-  kCompleted,        ///< serve: requests retired with detections
   kShedCapacity,     ///< serve: requests shed at submit (queue full)
   kShedDeadline,     ///< serve: requests shed at batch formation (too old)
   kBatches,          ///< serve: cross-scene batches formed
-  kDetects,          ///< single-scene detect() calls (any detector)
   kCount,
 };
 const char* counter_name(Counter c);
@@ -73,12 +71,13 @@ enum class Gauge : int {
 const char* gauge_name(Gauge g);
 
 enum class Hist : int {
-  kDetect = 0,       ///< detect() wall latency (serial path)
+  kDetect = 0,       ///< detect() wall latency (serial path); count = calls
   kServeQueue,       ///< serve: submit -> batch formation
   kServePre,         ///< serve: pillarize stage, per batch
   kServeDetect,      ///< serve: forward_batch stage, per batch
   kServePost,        ///< serve: decode stage, per batch
-  kServeTotal,       ///< serve: submit -> decode done, per request
+  kServeTotal,       ///< serve: submit -> decode done, per request; count =
+                     ///< requests completed
   kCount,
 };
 const char* hist_name(Hist h);
@@ -111,11 +110,9 @@ struct HistSnapshot {
 };
 
 // ---------------------------------------------------------------------------
-// Hot-path recording. Compiled out under UPAQ_OBS_DISABLED; otherwise each
-// call is one relaxed load (the kill switch) plus 1-3 relaxed RMWs on
-// thread-private state.
+// Hot-path recording. Each call is one relaxed load (the kill switch) plus
+// 1-3 relaxed RMWs on thread-private state.
 
-#ifndef UPAQ_OBS_DISABLED
 /// Runtime kill switch; defaults to ON (obs is always-on by design — the
 /// switch exists for the overhead ablation and tests).
 bool enabled();
@@ -126,14 +123,6 @@ void gauge_set(Gauge g, std::int64_t v);
 /// Monotonic ratchet: keeps max(current, v).
 void gauge_max(Gauge g, std::int64_t v);
 void record(Hist h, std::uint64_t ns);
-#else
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void add(Counter, std::uint64_t = 1) {}
-inline void gauge_set(Gauge, std::int64_t) {}
-inline void gauge_max(Gauge, std::int64_t) {}
-inline void record(Hist, std::uint64_t) {}
-#endif
 
 std::uint64_t counter_value(Counter c);
 std::int64_t gauge_value(Gauge g);
@@ -148,22 +137,16 @@ std::int64_t now_ns();
 /// RAII latency recorder: records the scope's wall time into `h`.
 class ScopedTimer {
  public:
-#ifndef UPAQ_OBS_DISABLED
   explicit ScopedTimer(Hist h) : h_(h), t0_(enabled() ? now_ns() : -1) {}
   ~ScopedTimer() {
     if (t0_ >= 0) record(h_, static_cast<std::uint64_t>(now_ns() - t0_));
   }
-#else
-  explicit ScopedTimer(Hist) {}
-#endif
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-#ifndef UPAQ_OBS_DISABLED
  private:
   Hist h_;
   std::int64_t t0_;
-#endif
 };
 
 // ---------------------------------------------------------------------------
@@ -181,7 +164,7 @@ Level log_level();
 void set_log_level(Level lv);
 
 /// One key/value of an event. `quoted` distinguishes JSON strings from raw
-/// numbers/bools so the JSONL rendering stays typed.
+/// numbers/bools so the snapshot JSON stays typed.
 struct Field {
   std::string key;
   std::string value;
@@ -201,13 +184,9 @@ struct Event {
   std::vector<Field> fields;
 };
 
-#ifndef UPAQ_OBS_DISABLED
 /// Appends to the bounded ring (oldest overwritten) unless filtered by
 /// level or the kill switch.
 void log_event(Level lv, std::string name, std::vector<Field> fields);
-#else
-inline void log_event(Level, std::string, std::vector<Field>) {}
-#endif
 
 /// Resizes the ring (default 1024) and clears it. Tests use tiny rings to
 /// pin the overwrite contract.
@@ -218,8 +197,6 @@ std::vector<Event> events();
 std::uint64_t events_logged();
 /// Accepted events no longer retained (overwritten by the ring).
 std::uint64_t events_dropped();
-/// One JSON object per line, oldest first.
-std::string events_jsonl();
 
 // ---------------------------------------------------------------------------
 // Request-trace exemplar (tail-biased)
@@ -238,14 +215,10 @@ struct RequestTrace {
   std::vector<TraceSpan> spans;
 };
 
-#ifndef UPAQ_OBS_DISABLED
 /// Keeps `t` iff it is the slowest offer since the last reset. The caller
 /// offers at most once per batch (its slowest member), so the mutex inside
 /// is touched a handful of times per batch, never per histogram record.
 void offer_exemplar(const RequestTrace& t);
-#else
-inline void offer_exemplar(const RequestTrace&) {}
-#endif
 /// Copy of the current slowest trace (req_id == 0 when none captured).
 RequestTrace exemplar();
 void reset_exemplar();

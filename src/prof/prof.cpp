@@ -1,10 +1,10 @@
 #include "prof/prof.h"
 
 #include "obs/json.h"
+#include "obs/obs.h"
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -30,12 +30,6 @@ int resolve_enabled_slow() {
 }
 
 std::atomic<std::uint64_t> g_counters[static_cast<int>(Counter::kCount)];
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Per-thread event buffer. Owned jointly by the recording thread (via a
 /// thread_local shared_ptr) and the global registry, so events survive the
@@ -72,12 +66,6 @@ std::map<std::string, std::string>& meta_map() {
   return *m;
 }
 
-// JSON string escaping lives in the obs layer (shared with the metric and
-// event exporters).
-void json_escape(std::string& out, const std::string& s) {
-  obs::json::escape(out, s);
-}
-
 }  // namespace
 
 bool enabled() {
@@ -100,11 +88,7 @@ const char* counter_name(Counter c) {
     case Counter::kPoolTasks: return "pool_tasks";
     case Counter::kGemmKernelCalls: return "gemm_kernel_calls";
     case Counter::kWorkspaceBytes: return "workspace_bytes";
-    case Counter::kWorkspaceReuses: return "workspace_reuses";
     case Counter::kQgemmMacs: return "qgemm_macs";
-    case Counter::kServeBatches: return "serve_batches";
-    case Counter::kServeScenes: return "serve_scenes";
-    case Counter::kServeShed: return "serve_shed";
     case Counter::kPanelBuilds: return "panel_builds";
     case Counter::kCount: break;
   }
@@ -125,7 +109,7 @@ void Span::open(const char* name, std::string detail) {
   detail_ = std::move(detail);
   ThreadBuf& buf = thread_buf();
   depth_ = ++buf.depth;
-  start_ns_ = now_ns();
+  start_ns_ = obs::now_ns();
 }
 
 Span::Span(const char* name) {
@@ -147,7 +131,7 @@ Span::Span(std::string name, std::string detail) {
 
 Span::~Span() {
   if (start_ns_ < 0) return;
-  const std::int64_t end = now_ns();
+  const std::int64_t end = obs::now_ns();
   ThreadBuf& buf = thread_buf();
   --buf.depth;
   Event e;
@@ -296,7 +280,7 @@ std::string chrome_trace_json() {
   bool first = true;
   for (const auto& [tid, name] : thread_names()) {
     std::string esc;
-    json_escape(esc, name);
+    obs::json::escape(esc, name);
     std::snprintf(line, sizeof(line),
                   "%s{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
                   "\"tid\": %llu, \"args\": {\"name\": \"%s\"}}",
@@ -313,8 +297,8 @@ std::string chrome_trace_json() {
     prev_tid = e.tid;
     prev_ts = ts;
     std::string name, detail;
-    json_escape(name, e.name);
-    json_escape(detail, e.detail);
+    obs::json::escape(name, e.name);
+    obs::json::escape(detail, e.detail);
     std::snprintf(line, sizeof(line),
                   "%s{\"name\": \"%s\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
                   "%llu, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"depth\": %d",
@@ -335,8 +319,8 @@ std::string chrome_trace_json() {
   bool first_meta = true;
   for (const auto& [k, v] : metadata()) {
     std::string ek, ev;
-    json_escape(ek, k);
-    json_escape(ev, v);
+    obs::json::escape(ek, k);
+    obs::json::escape(ev, v);
     std::snprintf(line, sizeof(line), "%s\"%s\": \"%s\"",
                   first_meta ? "" : ", ", ek.c_str(), ev.c_str());
     out += line;

@@ -21,8 +21,9 @@
 //     ("X" complete events, strictly timestamp-ordered per thread).
 //
 // Layering: prof sits below parallel/tensor — it depends on nothing but the
-// standard library. The measured-vs-modeled cost report, which needs the
-// hw cost model, lives in prof/report.h as a separate library.
+// standard library and obs, whose clock and JSON escaping it reuses. The
+// measured-vs-modeled cost report, which needs the hw cost model, lives in
+// prof/report.h as a separate library.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +52,8 @@ enum class Counter : int {
   kPoolTasks,         ///< thread-pool tasks executed
   kGemmKernelCalls,   ///< blocked/sparse GEMM kernel entry invocations
   kWorkspaceBytes,    ///< bytes of workspace arena blocks allocated
-  kWorkspaceReuses,   ///< workspace allocations served without the heap
   kQgemmMacs,         ///< integer-GEMM multiply-accumulates (surviving
                       ///< entries x output columns)
-  kServeBatches,      ///< serve: cross-scene batches formed
-  kServeScenes,       ///< serve: scenes completed through the pipeline
-  kServeShed,         ///< serve: requests shed (capacity overflow + deadline)
   kPanelBuilds,       ///< PackedGemm packs: one at lowering, one per
                       ///< Parameter::version bump
   kCount,

@@ -21,6 +21,12 @@ double steady_ms() {
       .count();
 }
 
+/// Histogram value of a ms duration. Negative deltas can't happen with a
+/// monotonic clock, but clamp anyway before the unsigned conversion.
+std::uint64_t hist_ns(double ms) {
+  return static_cast<std::uint64_t>(std::max(ms, 0.0) * 1e6);
+}
+
 }  // namespace
 
 Server::Server(detectors::PointPillars& model, ServeConfig cfg)
@@ -51,7 +57,6 @@ void Server::shed(Request req, double now, bool deadline) {
     ++stats_.shed_deadline;
   else
     ++stats_.shed_capacity;
-  prof::add(prof::Counter::kServeShed, 1);
   obs::add(deadline ? obs::Counter::kShedDeadline
                     : obs::Counter::kShedCapacity);
   obs::log_event(obs::Level::kWarn, "serve.shed",
@@ -127,7 +132,6 @@ std::optional<Server::InFlight> Server::form_batch(double now) {
   }
   ++stats_.batches;
   ++stats_.batch_hist[b.reqs.size()];
-  prof::add(prof::Counter::kServeBatches, 1);
   obs::add(obs::Counter::kBatches);
   obs::gauge_set(obs::Gauge::kBatchFill,
                  static_cast<std::int64_t>(b.reqs.size()));
@@ -138,33 +142,33 @@ std::optional<Server::InFlight> Server::form_batch(double now) {
 
 void Server::run_pre(InFlight& b) const {
   prof::Span span("serve.pre", std::to_string(b.reqs.size()) + " scenes");
-  obs::ScopedTimer timer(obs::Hist::kServePre);
   b.pre_start_ms = real_now_ms();
   b.pillars.reserve(b.reqs.size());
   for (const Request& req : b.reqs)
     b.pillars.push_back(model_.pillarize(req.scene));
   b.pre_dur_ms = real_now_ms() - b.pre_start_ms;
+  obs::record(obs::Hist::kServePre, hist_ns(b.pre_dur_ms));
 }
 
 void Server::run_mid(InFlight& b) {
   prof::Span span("serve.detect", std::to_string(b.reqs.size()) + " scenes");
-  obs::ScopedTimer timer(obs::Hist::kServeDetect);
   b.mid_start_ms = real_now_ms();
   std::vector<const detectors::PointPillars::Pillars*> ptrs;
   ptrs.reserve(b.pillars.size());
   for (const auto& p : b.pillars) ptrs.push_back(&p);
   b.heads = model_.forward_batch(ptrs);
   b.mid_dur_ms = real_now_ms() - b.mid_start_ms;
+  obs::record(obs::Hist::kServeDetect, hist_ns(b.mid_dur_ms));
 }
 
 void Server::run_post(InFlight& b) const {
   prof::Span span("serve.post", std::to_string(b.reqs.size()) + " scenes");
-  obs::ScopedTimer timer(obs::Hist::kServePost);
   b.post_start_ms = real_now_ms();
   b.dets.reserve(b.heads.size());
   for (const auto& h : b.heads)
     b.dets.push_back(model_.decode(h.cls_logits, h.reg_out));
   b.post_dur_ms = real_now_ms() - b.post_start_ms;
+  obs::record(obs::Hist::kServePost, hist_ns(b.post_dur_ms));
 }
 
 void Server::retire(InFlight& b, double now) {
@@ -184,17 +188,13 @@ void Server::retire(InFlight& b, double now) {
     r.queue_ms = b.start_ms - r.arrival_ms;
     r.pipeline_ms = now - b.start_ms;
     r.total_ms = now - r.arrival_ms;
-    // Histograms use the configured clock (they must agree with Result and
-    // the virtual clocks tests drive); negative deltas can't happen with a
-    // monotonic clock but clamp anyway before the unsigned conversion.
-    obs::record(obs::Hist::kServeQueue,
-                static_cast<std::uint64_t>(std::max(r.queue_ms, 0.0) * 1e6));
-    obs::record(obs::Hist::kServeTotal,
-                static_cast<std::uint64_t>(std::max(r.total_ms, 0.0) * 1e6));
+    // Queue and total use the configured clock: they must agree with Result
+    // and the virtual clocks tests drive. The stage histograms above time
+    // real work, so they use the real clock.
+    obs::record(obs::Hist::kServeQueue, hist_ns(r.queue_ms));
+    obs::record(obs::Hist::kServeTotal, hist_ns(r.total_ms));
     done_.push_back(std::move(r));
     ++stats_.completed;
-    prof::add(prof::Counter::kServeScenes, 1);
-    obs::add(obs::Counter::kCompleted);
     const double real_total = real_now - b.reqs[i].real_arrival_ms;
     if (real_total > slowest_total) {
       slowest_total = real_total;

@@ -95,7 +95,6 @@ void* Arena::alloc(std::size_t bytes, std::size_t align) {
     if (off + bytes <= r.blocks[cur_].size) {
       off_ = off + bytes;
       r.reuses.fetch_add(1, std::memory_order_relaxed);
-      prof::add(prof::Counter::kWorkspaceReuses, 1);
       return r.blocks[cur_].data.get() + off;
     }
     // Current block exhausted: move on (its tail is wasted until the next

@@ -1,11 +1,12 @@
 // upaq::obs contract tests: log-scale bucket boundaries, thread-distribution-
 // independent (bitwise) histogram merges, the bounded event ring's overwrite
 // accounting, level filtering, the Prometheus/JSON exporters (including the
-// validator's rejection paths), the JSON reader + path lookup feeding the
-// bench-regression gate, the gate's pass/fail/missing semantics against a
-// perturbed bench document, request-id propagation into the tail exemplar
-// through a real serve run, and the disabled-mode "changes nothing"
-// guarantee on detections.
+// validator's rejection paths), the JSON reader (with its nesting cap) +
+// path lookup feeding the bench-regression gate, the gate's
+// pass/fail/missing semantics against a perturbed bench document, request-id
+// propagation into the tail exemplar through a real serve run, one detect
+// histogram record per detect() call, and the disabled-mode "changes
+// nothing" guarantee on detections.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
+#include "detectors/smoke.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/obs.h"
@@ -170,27 +172,11 @@ TEST_F(ObsTest, ParseLevelAcceptsNamesAndDigits) {
   EXPECT_FALSE(obs::parse_level("loud", lv));
 }
 
-TEST_F(ObsTest, EventsJsonlIsOneParsableObjectPerLine) {
-  obs::log_event(obs::Level::kWarn, "serve.shed",
-                 {obs::fuint("req_id", 42), obs::fstr("reason", "capacity"),
-                  obs::fbool("late", false), obs::fnum("queued_ms", 1.5)});
-  const std::string jsonl = obs::events_jsonl();
-  obs::json::Value v;
-  std::string err;
-  ASSERT_TRUE(obs::json::parse(jsonl.substr(0, jsonl.find('\n')), v, &err))
-      << err;
-  EXPECT_EQ(v.at_path("event")->str, "serve.shed");
-  EXPECT_EQ(v.at_path("req_id")->number, 42.0);
-  EXPECT_EQ(v.at_path("reason")->str, "capacity");
-  EXPECT_EQ(v.at_path("late")->boolean, false);
-}
-
 // ---------------------------------------------------------------------------
 // Exporters
 
 TEST_F(ObsTest, PrometheusTextValidatesAndCarriesTheData) {
   obs::add(obs::Counter::kSubmitted, 5);
-  obs::add(obs::Counter::kCompleted, 5);
   for (std::uint64_t ns : {1000000ull, 2000000ull, 40000000ull})
     obs::record(obs::Hist::kServeTotal, ns);
   const std::string text = obs::prometheus_text(obs::snapshot());
@@ -235,6 +221,12 @@ TEST_F(ObsTest, SnapshotJsonRoundTripsThroughTheReader) {
   obs::record(obs::Hist::kDetect, 7000000);  // 7 ms
   obs::log_event(obs::Level::kInfo, "model.lowered",
                  {obs::fstr("model", "Quantized(PointPillars)")});
+  // Every Field kind, with a key and a string value that need escaping.
+  obs::log_event(obs::Level::kWarn, "serve.shed",
+                 {obs::fuint("req_id", 42), obs::fint("priority", -3),
+                  obs::fstr("reason", "cap\"acity\n\\"),
+                  obs::fbool("late", false), obs::fnum("queued_ms", 1.5),
+                  obs::fstr("odd\"key\t", "v")});
   obs::RequestTrace t;
   t.req_id = 9;
   t.batch = 2;
@@ -260,6 +252,15 @@ TEST_F(ObsTest, SnapshotJsonRoundTripsThroughTheReader) {
   // The search value may itself contain dots: segments split outside [...].
   EXPECT_EQ(at("events.[event=model.lowered].model").str,
             "Quantized(PointPillars)");
+  EXPECT_EQ(at("events.[event=serve.shed].level").str, "warn");
+  EXPECT_EQ(at("events.[event=serve.shed].req_id").number, 42.0);
+  EXPECT_EQ(at("events.[event=serve.shed].priority").number, -3.0);
+  EXPECT_EQ(at("events.[event=serve.shed].reason").str, "cap\"acity\n\\");
+  EXPECT_EQ(at("events.[event=serve.shed].late").kind,
+            obs::json::Value::Kind::kBool);
+  EXPECT_FALSE(at("events.[event=serve.shed].late").boolean);
+  EXPECT_EQ(at("events.[event=serve.shed].queued_ms").number, 1.5);
+  EXPECT_EQ(at("events.[event=serve.shed].odd\"key\t").str, "v");
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +283,25 @@ TEST_F(ObsTest, JsonParserHandlesTheRepoSubset) {
   EXPECT_FALSE(obs::json::parse("{\"a\": 1} trailing", v, &err));
   EXPECT_FALSE(obs::json::parse("{\"a\": }", v, &err));
   EXPECT_FALSE(obs::json::parse("[1, 2,]", v, &err));
+}
+
+TEST_F(ObsTest, JsonParserRejectsDeepNestingWithAnError) {
+  // A million levels would overflow the recursive parser's stack; the depth
+  // cap turns them into a parse error instead.
+  obs::json::Value v;
+  std::string err;
+  const std::string arrays(1000000, '[');
+  EXPECT_FALSE(obs::json::parse(arrays, v, &err));
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+  std::string objects;
+  for (int i = 0; i < 1000000; ++i) objects += "{\"a\":";
+  err.clear();
+  EXPECT_FALSE(obs::json::parse(objects, v, &err));
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+  // Nesting at the cap still parses.
+  const std::string ok = std::string(256, '[') + std::string(256, ']');
+  EXPECT_TRUE(obs::json::parse(ok, v, &err)) << err;
+  EXPECT_FALSE(obs::json::parse("[" + ok + "]", v, &err));
 }
 
 TEST_F(ObsTest, AtPathSearchesArraysOfObjects) {
@@ -385,9 +405,13 @@ TEST_F(ObsTest, ServeRunPopulatesMetricsAndExemplar) {
   EXPECT_EQ(rep.results.size(), 6u);
 
   EXPECT_EQ(obs::counter_value(obs::Counter::kSubmitted), 6u);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kCompleted), 6u);
   EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServeTotal).count, 6u);
-  EXPECT_GE(obs::hist_snapshot(obs::Hist::kServeDetect).count, 1u);
+  // One record per stage per batch, taken from the exemplar's stage stamps.
+  const std::uint64_t batches = obs::counter_value(obs::Counter::kBatches);
+  EXPECT_GE(batches, 1u);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServePre).count, batches);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServeDetect).count, batches);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServePost).count, batches);
 
   // The exemplar is a real request: its id came through submit(), and its
   // span tree has the full queue -> pre -> detect -> post decomposition.
@@ -403,6 +427,23 @@ TEST_F(ObsTest, ServeRunPopulatesMetricsAndExemplar) {
   for (const auto& sp : ex.spans) EXPECT_GE(sp.dur_ms, 0.0);
   EXPECT_GE(ex.batch, 1);
   parallel::set_thread_count(1);
+}
+
+TEST_F(ObsTest, DetectHistogramCountsEveryDetectCall) {
+  // kDetect's count is the detect-call counter: one record per detect() of
+  // either detector, none while obs is disabled.
+  Rng rng(4242);
+  detectors::PointPillars pp(detectors::PointPillarsConfig::scaled(), rng);
+  detectors::Smoke smoke(detectors::SmokeConfig::scaled(), rng);
+  Rng srng(7);
+  data::SceneGenerator gen;
+  const auto scene = gen.sample(srng);
+  for (int i = 0; i < 3; ++i) (void)pp.detect(scene);
+  for (int i = 0; i < 2; ++i) (void)smoke.detect(scene);
+  obs::set_enabled(false);
+  (void)pp.detect(scene);
+  obs::set_enabled(true);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kDetect).count, 5u);
 }
 
 TEST_F(ObsTest, DisablingObsChangesNoDetections) {

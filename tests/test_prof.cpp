@@ -17,6 +17,7 @@
 
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
+#include "obs/obs.h"
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "prof/report.h"
@@ -409,8 +410,10 @@ TEST_F(ProfTest, CostReportMatchesProfiledLayersByName) {
 }
 
 /// Serving a drained stream emits the per-stage serve spans, each stage
-/// span containing its inner pipeline spans, and moves the serve counters.
+/// span containing its inner pipeline spans, and moves the obs serve
+/// counters.
 TEST_F(ProfTest, ServeStageSpansNestAndCountersMove) {
+  obs::reset();
   Rng rng(4242);
   detectors::PointPillars model(detectors::PointPillarsConfig::scaled(), rng);
   model.set_training(false);
@@ -462,43 +465,10 @@ TEST_F(ProfTest, ServeStageSpansNestAndCountersMove) {
   // 2 batches x 3 stages each.
   EXPECT_EQ(stage_spans, 6);
 
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeBatches), 2u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeScenes), 3u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeShed), 0u);
-}
-
-/// Forced overload: the shed counter is exact — one tick per shed request,
-/// split across both shed causes, zero for served ones.
-TEST_F(ProfTest, ServeShedCounterIsExactUnderForcedOverload) {
-  Rng rng(4242);
-  detectors::PointPillars model(detectors::PointPillarsConfig::scaled(), rng);
-  model.set_training(false);
-  Rng srng(99);
-  data::SceneGenerator gen;
-  const auto scene = gen.sample(srng);
-  double vt = 0.0;
-
-  serve::ServeConfig cfg;
-  cfg.max_batch = 2;
-  cfg.queue_capacity = 2;
-  cfg.deadline_ms = 10.0;
-  cfg.clock = [&vt] { return vt; };
-  serve::Server server(model, cfg);
-
-  // Burst of 5 into a 2-deep queue: exactly 3 capacity sheds.
-  for (int i = 0; i < 5; ++i) server.submit(scene);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeShed), 3u);
-
-  // Age the survivors past the deadline: exactly 2 deadline sheds.
-  vt = 25.0;
-  server.drain();
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeShed), 5u);
-  EXPECT_EQ(server.stats().shed_capacity, 3u);
-  EXPECT_EQ(server.stats().shed_deadline, 2u);
-  EXPECT_EQ(server.stats().completed, 0u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeScenes), 0u);
-  EXPECT_EQ(server.stats().submitted, 5u);
-  EXPECT_EQ(server.poll().size(), 5u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kBatches), 2u);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServeTotal).count, 3u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedCapacity), 0u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedDeadline), 0u);
 }
 
 }  // namespace

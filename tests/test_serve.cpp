@@ -6,7 +6,8 @@
 // queue contract (bounded capacity, FIFO within priority, shed-oldest of
 // the lowest priority under overflow), deadline shedding against a virtual
 // clock, run-to-drain completeness (submitted == completed + shed, one
-// result per id), the batch histogram, and the steady-state
+// result per id), the batch histogram, the obs serve records against
+// ServeStats under forced overload, and the steady-state
 // zero-scratch-allocation guarantee inherited from the workspace arena.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/upaq.h"
 #include "data/scene.h"
 #include "detectors/pointpillars.h"
+#include "obs/obs.h"
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "serve/serve.h"
@@ -37,6 +39,7 @@ class ServeTest : public ::testing::Test {
     parallel::set_thread_count(1);
     prof::set_enabled(false);
     prof::reset();
+    obs::reset();
   }
   void TearDown() override {
     prof::set_enabled(false);
@@ -331,9 +334,8 @@ TEST_F(ServeTest, DrainDeliversExactlyOneResultPerSubmit) {
   EXPECT_EQ(server.queue_depth(), 0u);
 }
 
-/// The batch-size histogram and the serve counters agree with the stats.
+/// The batch-size histogram and the obs serve records agree with the stats.
 TEST_F(ServeTest, BatchHistogramMatchesFormation) {
-  prof::set_enabled(true);
   auto model = make_model();
   const auto scenes = test_scenes(1);
 
@@ -351,9 +353,50 @@ TEST_F(ServeTest, BatchHistogramMatchesFormation) {
   EXPECT_EQ(st.batch_hist[1], 1u);
   EXPECT_EQ(st.batch_hist[2], 2u);
   EXPECT_EQ(st.completed, 5u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeBatches), 3u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeScenes), 5u);
-  EXPECT_EQ(prof::counter_value(prof::Counter::kServeShed), 0u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kBatches), 3u);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServeTotal).count, 5u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedCapacity), 0u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedDeadline), 0u);
+}
+
+/// Forced overload with a virtual clock: every obs serve record equals the
+/// ServeStats field that counts the same event — one tick per shed request,
+/// split by cause, and one kServeTotal record per completed request.
+TEST_F(ServeTest, ObsRecordsMatchStatsUnderForcedOverload) {
+  auto model = make_model();
+  const auto scene = test_scenes(1, 99)[0];
+  double vt = 0.0;
+
+  serve::ServeConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 2;
+  cfg.deadline_ms = 10.0;
+  cfg.clock = [&vt] { return vt; };
+  serve::Server server(*model, cfg);
+
+  // Burst of 5 into a 2-deep queue: exactly 3 capacity sheds.
+  for (int i = 0; i < 5; ++i) server.submit(scene);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedCapacity), 3u);
+  // Age the survivors past the deadline: exactly 2 deadline sheds.
+  vt = 25.0;
+  server.drain();
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedDeadline), 2u);
+  // Two fresh requests are served in one batch.
+  for (int i = 0; i < 2; ++i) server.submit(scene);
+  server.drain();
+
+  const auto& st = server.stats();
+  EXPECT_EQ(st.submitted, 7u);
+  EXPECT_EQ(st.shed_capacity, 3u);
+  EXPECT_EQ(st.shed_deadline, 2u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSubmitted), st.submitted);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedCapacity), st.shed_capacity);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShedDeadline), st.shed_deadline);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kBatches), st.batches);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kServeTotal).count, st.completed);
+  EXPECT_EQ(server.poll().size(), 7u);
 }
 
 /// Steady state allocates no new workspace blocks: after one warm-up pass
