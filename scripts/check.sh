@@ -157,7 +157,7 @@ echo "==> bench-regression gate (vs bench_baseline.json)"
 # workspace arena do raw pointer arithmetic over reused blocks, exactly where
 # ASan earns its keep; test_qgemm_kernel runs the segment GEMM and the plane
 # build on exactly sized buffers, so any read past them faults.
-# test_nn covers the vectorised eval BN (f32_bn_eval) body and tail;
+# test_nn covers the conv epilogue (f32_epilogue) body and tail;
 # test_detectors covers the counting-sort pillarize and its non-finite drop.
 # test_scenarios rides along too: the corruption passes (occlusion shadow
 # walk, dropout filter) and the suite's report assembly are fresh code.
@@ -184,18 +184,20 @@ UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_qnn|test_quant|test_gemm_ke
 UPAQ_TRACE=1 UPAQ_THREADS=4 ctest --test-dir "$ASAN_DIR" -R 'test_prof|test_obs|test_serve' --output-on-failure
 
 # On an AVX-512 host the kernel TU's AVX2 paths (the 16-column segment
-# block and the BN fallback) only run on column tails. A second build with
-# -mno-avx512f runs them on every column:
+# block) only run on column tails, and its other vector bodies (the conv
+# epilogue among them) are compiled for AVX-512. A second build with
+# -mno-avx512f runs the AVX2 code on every column:
 # GCC keeps the explicit -mno-avx512f over what the kernel TU's later
 # -march=native implies, so that TU compiles without AVX-512 (an AVX2 host
 # in miniature) and its suites must still pass bitwise. rng.cpp shares the
 # kernel TU's options: test_tensor and test_data check its engine and
 # batched normals against libstdc++'s, and the frozen render hashes, on the
-# AVX2 code generation too.
-echo "==> qgemm + qnn + nn + tensor + data suites with the native TUs built without AVX-512"
+# AVX2 code generation too. test_detectors runs whole detectors (the SMOKE
+# fused stages against a layer-by-layer walk, float and packed) on it.
+echo "==> qgemm + qnn + nn + tensor + data + detectors suites with the native TUs built without AVX-512"
 NOAVX512_DIR="${BUILD_DIR}-noavx512"
 cmake -B "$NOAVX512_DIR" -S . -DCMAKE_CXX_FLAGS=-mno-avx512f
-cmake --build "$NOAVX512_DIR" -j "$JOBS" --target test_qgemm_kernel test_qnn test_nn test_tensor test_data
-UPAQ_THREADS=4 ctest --test-dir "$NOAVX512_DIR" -R '^(test_qgemm_kernel|test_qnn|test_nn|test_tensor|test_data)$' --output-on-failure
+cmake --build "$NOAVX512_DIR" -j "$JOBS" --target test_qgemm_kernel test_qnn test_nn test_tensor test_data test_detectors
+UPAQ_THREADS=4 ctest --test-dir "$NOAVX512_DIR" -R '^(test_qgemm_kernel|test_qnn|test_nn|test_tensor|test_data|test_detectors)$' --output-on-failure
 
 echo "check.sh: OK (tier1 passed serial, 4-thread, and traced; perf + serve + scenario + metrics smokes, ratchet, recall gate, bench-regression gate, sanitizers and no-AVX-512 suites green)"

@@ -70,16 +70,11 @@ SmokeConfig SmokeConfig::full() {
 }
 
 Tensor Smoke::Stage::forward(const Tensor& x) const {
-  // BN and ReLU run in place over the conv outputs this stage owns.
-  Tensor y = down_conv->forward(x);
-  down_bn->forward_inplace_relu(y, *down_relu);
-  for (const auto& u : units) {
-    Tensor t = u.conv->forward(y);
-    u.bn->forward_inplace(t);
-    t.add_(y);                   // residual add
-    u.relu->forward_inplace(t);  // post-add activation
-    y = std::move(t);
-  }
+  // Each conv applies its BN, the residual add and the post-add ReLU as it
+  // stores its output.
+  Tensor y = down_conv->forward(x, {.bn = down_bn, .relu = down_relu});
+  for (const auto& u : units)
+    y = u.conv->forward(y, {.bn = u.bn, .residual = &y, .relu = u.relu});
   return y;
 }
 

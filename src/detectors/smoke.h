@@ -94,6 +94,17 @@ class Smoke final : public Detector3D {
   Tensor render(const data::Scene& scene) const;
   Tensor render_augmented(const data::Scene& scene);
 
+  /// The network's head outputs for one image.
+  struct ForwardState {
+    Tensor heatmap_logits;  ///< (1, num_classes, H/4, W/4)
+    Tensor reg_out;         ///< (1, 8, H/4, W/4) — shared across classes
+  };
+
+  /// The network over a (3, H, W) image: detect() between render() and
+  /// decoding. In eval mode each conv runs the BN, residual add and ReLU
+  /// after it as its epilogue; in training mode the layers run one by one.
+  void forward(const Tensor& image, ForwardState& state);
+
  private:
   /// One backbone stage: stride-2 entry conv + `extra` residual convs.
   struct Stage {
@@ -111,12 +122,6 @@ class Smoke final : public Detector3D {
     Tensor backward(const Tensor& grad) const;
   };
 
-  struct ForwardState {
-    Tensor heatmap_logits;  ///< (1, num_classes, H/4, W/4)
-    Tensor reg_out;         ///< (1, 8, H/4, W/4) — shared across classes
-  };
-
-  void forward(const Tensor& image, ForwardState& state);
   void backward(const Tensor& grad_hm, const Tensor& grad_reg);
   std::vector<eval::Box3D> decode(const Tensor& hm_logits,
                                   const Tensor& reg_out) const;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nn/layers.h"
 #include "parallel/thread_pool.h"
+#include "prof/prof.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 
@@ -70,31 +72,71 @@ void Conv2d::refresh_weight_pack() {
   packed_w2d_hash_ = h;
 }
 
-Tensor Conv2d::do_forward(const Tensor& x) {
+Shape Conv2d::output_shape(const Tensor& x) const {
   UPAQ_CHECK(x.rank() == 4, "Conv2d expects (N,C,H,W), got " +
                                 shape_to_string(x.shape()));
   UPAQ_CHECK(x.dim(1) == in_c_,
              name_ + ": input channels " + std::to_string(x.dim(1)) +
                  " != expected " + std::to_string(in_c_));
+  return {x.dim(0), out_c_, ops::conv_out_size(x.dim(2), kernel_, stride_, pad_),
+          ops::conv_out_size(x.dim(3), kernel_, stride_, pad_)};
+}
+
+Tensor Conv2d::do_forward(const Tensor& x) { return run(x, {}); }
+
+Tensor Conv2d::forward(const Tensor& x, const ConvEpilogue& epi) {
+  const bool eval = !training_ && (epi.bn == nullptr || !epi.bn->training()) &&
+                    (epi.relu == nullptr || !epi.relu->training());
+  if (!eval) {
+    Tensor y = forward(x);
+    if (epi.bn != nullptr) epi.bn->forward_inplace(y);
+    if (epi.residual != nullptr) y.add_(*epi.residual);
+    if (epi.relu != nullptr) epi.relu->forward_inplace(y);
+    return y;
+  }
+  gemm::Epilogue e;
+  if (epi.bn != nullptr) {
+    UPAQ_CHECK(epi.bn->channels() == out_c_,
+               name_ + ": epilogue BN " + epi.bn->name() + " has " +
+                   std::to_string(epi.bn->channels()) + " channels");
+    epi.bn->eval_epilogue(e);
+  }
+  if (epi.residual != nullptr) {
+    UPAQ_CHECK(shape_equal(epi.residual->shape(), output_shape(x)),
+               name_ + ": residual shape " +
+                   shape_to_string(epi.residual->shape()));
+    e.residual = epi.residual->data();
+  }
+  if (epi.relu != nullptr) {
+    e.relu = true;
+    e.slope = epi.relu->negative_slope();
+  }
+  if (!prof::enabled()) return run(x, e);
+  prof::Span span(span_name(), shape_to_string(x.shape()));
+  return run(x, e);
+}
+
+Tensor Conv2d::run(const Tensor& x, const gemm::Epilogue& epi) {
+  const Shape out_shape = output_shape(x);
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = ops::conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = ops::conv_out_size(w, kernel_, stride_, pad_);
+  const std::int64_t oh = out_shape[2], ow = out_shape[3];
   last_out_h_ = oh;
   last_out_w_ = ow;
   if (training_) input_cache_ = x;
   // Packed integer path (upaq::qnn): inference-only, so training always
   // stays on the differentiable float route below.
-  if (engine_ != nullptr && !training_) return engine_->forward(x);
+  if (engine_ != nullptr && !training_) return engine_->forward(x, epi);
 
   refresh_weight_pack();
   const std::int64_t kcols = in_c_ * kernel_ * kernel_;
-  Tensor out({n, out_c_, oh, ow});
+  Tensor out(out_shape);
   // Batch items write disjoint output slices, so the batch loop parallelises
   // deterministically. With a single-item batch the chunk runs inline and the
   // stripe-parallel GEMM inside provides the parallelism instead. The column
   // matrix lives in the per-thread workspace arena and the GEMM accumulates
   // straight into the (zero-initialised or bias-prefilled) output slice, so
-  // the steady-state loop body performs no heap allocation.
+  // the steady-state loop body performs no heap allocation. The epilogue
+  // then runs in place over the slice while it is cache-warm.
   parallel::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       workspace::Scope ws;
@@ -108,6 +150,12 @@ Tensor Conv2d::do_forward(const Tensor& x) {
                     bias_.value[oc]);
       }
       gemm::gemm_packed(packed_w2d_, cols, dst, oh * ow, 1.0f);
+      if (!epi.empty()) {
+        prof::Span espan("nn.epilogue");
+        gemm::Epilogue eb = epi;
+        if (eb.residual != nullptr) eb.residual += b * out_c_ * oh * ow;
+        gemm::f32_epilogue(dst, ow, out_c_, oh, ow, eb, dst);
+      }
     }
   });
   return out;

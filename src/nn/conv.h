@@ -7,6 +7,18 @@
 
 namespace upaq::nn {
 
+class BatchNorm2d;
+class Relu;
+
+/// The layers that consume a conv's output, applied as it is stored:
+/// relu(bn(conv(x)) + residual), each part optional. `residual` has the
+/// conv output's shape.
+struct ConvEpilogue {
+  BatchNorm2d* bn = nullptr;
+  const Tensor* residual = nullptr;
+  Relu* relu = nullptr;
+};
+
 /// NCHW convolution. Weight layout (out_c, in_c, kh, kw); square kernels.
 /// The forward path goes through im2col + GEMM; the GEMM skips zero weight
 /// entries, so pattern-pruned kernels get a genuine CPU speedup (exercised
@@ -18,6 +30,16 @@ class Conv2d final : public Layer {
 
   LayerKind kind() const override { return LayerKind::kConv2d; }
   std::vector<Parameter*> parameters() override;
+
+  using Layer::forward;
+  /// forward(x), then epi.bn's forward, + *epi.residual, then epi.relu's
+  /// forward. With every layer involved in eval mode this is one conv whose
+  /// output rows get the epilogue in the pass that stores them (the packed
+  /// engine's crop of its padded grid included), bitwise equal to the layer
+  /// sequence, under this layer's span with a nested "nn.epilogue" span;
+  /// the BN and ReLU emit none. In training mode it is that sequence of
+  /// calls, so every backward cache is filled as usual.
+  Tensor forward(const Tensor& x, const ConvEpilogue& epi);
 
   Parameter& weight() { return weight_; }
   const Parameter& weight() const { return weight_; }
@@ -40,6 +62,10 @@ class Conv2d final : public Layer {
   Tensor do_backward(const Tensor& grad_out) override;
 
  private:
+  /// Validates x and returns the output shape (n, out_c, oh, ow).
+  Shape output_shape(const Tensor& x) const;
+  /// The conv of x with `epi` applied to each batch item's output.
+  Tensor run(const Tensor& x, const gemm::Epilogue& epi);
   /// Rebuilds the cached 2-D weight view and pre-packed GEMM panels when
   /// weight_.version has moved (optimizer step, requantize, load_state_dict).
   void refresh_weight_pack();

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/gemm_kernel.h"
 #include "tensor/tensor.h"
 
 namespace upaq::nn {
@@ -68,7 +69,9 @@ struct Parameter {
 class ForwardEngine {
  public:
   virtual ~ForwardEngine() = default;
-  virtual Tensor forward(const Tensor& x) = 0;
+  /// The layer's eval forward of x with `epi` applied to its output as it
+  /// is stored (a conv's fused BN / residual / ReLU; empty for a Linear).
+  virtual Tensor forward(const Tensor& x, const gemm::Epilogue& epi) = 0;
   virtual const char* engine_name() const = 0;
 };
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "parallel/thread_pool.h"
-#include "prof/prof.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 
@@ -26,12 +24,10 @@ void check_bn_input(const Tensor& x, std::int64_t channels,
 
 /// The ReLU pass over a whole tensor, in place.
 void relu_pass(float slope, Tensor& t) {
-  float* p = t.data();
-  parallel::parallel_for(0, t.numel(), kLayerParallelGrain,
-                         [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i)
-                             p[i] = Relu::apply(p[i], slope);
-                         });
+  gemm::Epilogue e;
+  e.relu = true;
+  e.slope = slope;
+  gemm::f32_epilogue(t.data(), t.numel(), 1, 1, t.numel(), e, t.data());
 }
 }  // namespace
 
@@ -116,51 +112,32 @@ Tensor BatchNorm2d::do_forward(const Tensor& x) {
       parallel::parallel_for(0, c, 1, train_channels);
     }
   } else {
-    eval_into(x, out.data(), nullptr);
+    eval_into(x, out.data());
   }
   return out;
 }
 
-void BatchNorm2d::eval_into(const Tensor& x, float* out,
-                            const Relu* relu) const {
-  const std::int64_t n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
-  const float slope = relu != nullptr ? relu->negative_slope() : 0.0f;
-  auto eval_channels = [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
-      const float g = gamma_.value[ch], bta = beta_.value[ch];
-      const float mean = running_mean_[ch];
-      // g * (v - mean) * inv_std + beta, then Relu::apply, per element; the
-      // loop lives in the kernel TU for its vector codegen, with those exact
-      // roundings (no contraction).
-      for (std::int64_t b = 0; b < n; ++b)
-        gemm::f32_bn_eval(x.data() + (b * c + ch) * hw, hw, g, mean, inv_std,
-                          bta, relu != nullptr, slope, out + (b * c + ch) * hw);
-    }
-  };
-  if (c * n * hw < kLayerParallelGrain) {
-    eval_channels(0, c);
-  } else {
-    parallel::parallel_for(0, c, 1, eval_channels);
-  }
+void BatchNorm2d::eval_epilogue(gemm::Epilogue& e) const {
+  e.gamma = gamma_.value.data();
+  e.beta = beta_.value.data();
+  e.mean = running_mean_.data();
+  e.var = running_var_.data();
+  e.eps = eps_;
+}
+
+void BatchNorm2d::eval_into(const Tensor& x, float* out) const {
+  const std::int64_t n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
+  gemm::Epilogue e;
+  eval_epilogue(e);
+  for (std::int64_t b = 0; b < n; ++b)
+    gemm::f32_epilogue(x.data() + b * c * h * w, w, c, h, w, e,
+                       out + b * c * h * w);
 }
 
 bool BatchNorm2d::do_forward_inplace(Tensor& x) {
   check_bn_input(x, channels_, name_);
-  eval_into(x, x.data(), nullptr);
+  eval_into(x, x.data());
   return true;
-}
-
-void BatchNorm2d::forward_inplace_relu(Tensor& x, Relu& relu) {
-  if (training_ || relu.training()) {
-    forward_inplace(x);
-    relu.forward_inplace(x);
-    return;
-  }
-  std::optional<prof::Span> span;
-  if (prof::enabled()) span.emplace(span_name(), shape_to_string(x.shape()));
-  check_bn_input(x, channels_, name_);
-  eval_into(x, x.data(), &relu);
 }
 
 Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
@@ -347,7 +324,7 @@ Tensor Linear::do_forward(const Tensor& x) {
              name_ + ": Linear expects (N," + std::to_string(in_f_) + ")");
   if (training_) input_cache_ = x;
   // Packed integer path (upaq::qnn): inference-only, same contract as Conv2d.
-  if (engine_ != nullptr && !training_) return engine_->forward(x);
+  if (engine_ != nullptr && !training_) return engine_->forward(x, {});
   const std::int64_t n = x.dim(0);
   Tensor out({n, out_f_});
   // y = x * W^T (+ b); rows of the output are independent, so the batch loop

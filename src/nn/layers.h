@@ -10,8 +10,6 @@
 
 namespace upaq::nn {
 
-class Relu;
-
 /// Per-channel batch normalization over (N,H,W) with running statistics.
 class BatchNorm2d final : public Layer {
  public:
@@ -26,12 +24,9 @@ class BatchNorm2d final : public Layer {
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
   std::int64_t channels() const { return channels_; }
-
-  /// The conv epilogue: forward_inplace(x) then relu.forward_inplace(x). With
-  /// both layers in eval mode it is one in-place pass over `x` with exactly
-  /// their per-element arithmetic, under one prof span named after this
-  /// layer (the ReLU emits none).
-  void forward_inplace_relu(Tensor& x, Relu& relu);
+  /// Sets the BN step of `e` to this layer's eval normalization (running
+  /// statistics): what a preceding Conv2d applies as it stores its output.
+  void eval_epilogue(gemm::Epilogue& e) const;
 
  protected:
   Tensor do_forward(const Tensor& x) override;
@@ -39,9 +34,8 @@ class BatchNorm2d final : public Layer {
   bool do_forward_inplace(Tensor& x) override;
 
  private:
-  /// Eval-mode normalization of `x` into `out` (which may be x's own data),
-  /// followed by the ReLU select when `relu` is non-null.
-  void eval_into(const Tensor& x, float* out, const Relu* relu) const;
+  /// Eval-mode normalization of `x` into `out` (which may be x's own data).
+  void eval_into(const Tensor& x, float* out) const;
 
   std::int64_t channels_;
   float momentum_, eps_;
@@ -65,10 +59,11 @@ class Relu final : public Layer {
   }
   float negative_slope() const { return slope_; }
 
-  /// The activation of one value, v < 0 ? v * slope : v, shared by the
-  /// standalone pass and BatchNorm2d's fused epilogue. Spelled as a bit
-  /// select because GCC turns the ternary back into a data-dependent branch,
-  /// which mispredicts on half the elements of a conv output.
+  /// The activation of one value, v < 0 ? v * slope : v: the reference the
+  /// vectorised pass (gemm::f32_epilogue, standalone or fused into a conv)
+  /// matches bit for bit. Spelled as a bit select because GCC turns the
+  /// ternary back into a data-dependent branch, which mispredicts on half
+  /// the elements of a conv output.
   static float apply(float v, float slope) {
     const float scaled = v * slope;
     const std::uint32_t take = 0u - static_cast<std::uint32_t>(v < 0.0f);

@@ -74,16 +74,21 @@ void Module::load_state_dict(const std::map<std::string, Tensor>& state) {
 Tensor Sequential::forward(const Tensor& x) const {
   if (chain_.empty()) return x;
   // The first layer reads the caller's tensor; every later one runs over the
-  // chain's own intermediate, so eval-mode BN and ReLU overwrite it in place
-  // and a BN followed by a ReLU runs as one fused pass.
-  Tensor cur = chain_.front()->forward(x);
-  for (std::size_t i = 1; i < chain_.size(); ++i) {
-    auto* bn = dynamic_cast<BatchNorm2d*>(chain_[i]);
-    auto* relu = i + 1 < chain_.size() ? dynamic_cast<Relu*>(chain_[i + 1])
-                                       : nullptr;
-    if (bn != nullptr && relu != nullptr) {
-      bn->forward_inplace_relu(cur, *relu);
-      ++i;
+  // chain's own intermediate, so eval-mode BN and ReLU overwrite it in place.
+  // A conv followed by a BN and/or a ReLU runs them as its epilogue.
+  Tensor cur;
+  for (std::size_t i = 0; i < chain_.size(); ++i) {
+    const Tensor& in = i == 0 ? x : cur;
+    if (auto* conv = dynamic_cast<Conv2d*>(chain_[i])) {
+      ConvEpilogue epi;
+      const auto next = [&] {
+        return i + 1 < chain_.size() ? chain_[i + 1] : nullptr;
+      };
+      if ((epi.bn = dynamic_cast<BatchNorm2d*>(next())) != nullptr) ++i;
+      if ((epi.relu = dynamic_cast<Relu*>(next())) != nullptr) ++i;
+      cur = conv->forward(in, epi);
+    } else if (i == 0) {
+      cur = chain_[i]->forward(x);
     } else {
       chain_[i]->forward_inplace(cur);
     }

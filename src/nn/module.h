@@ -59,6 +59,8 @@ class Module {
 /// A chain of layers; forward feeds each output to the next layer, backward
 /// runs the chain in reverse. forward never mutates its input: only the
 /// chain's own intermediates are overwritten in place (eval BN and ReLU).
+/// A Conv2d followed by a BatchNorm2d and/or a Relu runs them as its
+/// epilogue (Conv2d::forward(x, epi)).
 class Sequential {
  public:
   Sequential() = default;

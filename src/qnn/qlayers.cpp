@@ -1,7 +1,5 @@
 #include "qnn/qlayers.h"
 
-#include <cstring>
-
 #include "parallel/thread_pool.h"
 #include "prof/prof.h"
 #include "tensor/gemm_kernel.h"
@@ -44,7 +42,7 @@ void PackedConv2d::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedConv2d::forward(const Tensor& x) {
+Tensor PackedConv2d::forward(const Tensor& x, const gemm::Epilogue& epi) {
   prof::Span span(engine_name());
   // Staleness check runs serially, before the batch fan-out: a weight
   // mutated after lowering repacks exactly once.
@@ -67,8 +65,10 @@ Tensor PackedConv2d::forward(const Tensor& x) {
   // constant byte offset (gemm::PlaneLayout), so the GEMM reads its taps in
   // place: no im2col matrix. Its scale and codes equal quantizing the im2col
   // matrix (same value multiset plus padding zeros). The GEMM runs over the
-  // padded-width grid (bias fused into its initial fill); each row's ow
-  // valid columns are then copied out, unless the grid is the output.
+  // padded-width grid (bias fused into its initial fill); the epilogue then
+  // reads each row's ow valid columns and stores them into the output. When
+  // the grid is the output the GEMM writes it directly and the epilogue, if
+  // any, runs in place.
   parallel::parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       workspace::Scope bws;
@@ -86,11 +86,11 @@ Tensor PackedConv2d::forward(const Tensor& x) {
         prof::Span gspan("qnn.qgemm");
         gemm_.run(planes, row_off, sx, pl.n, oh * ow, bias, grid);
       }
-      if (!direct) {
-        prof::Span cspan("qnn.crop");
-        for (std::int64_t r = 0; r < out_c_ * oh; ++r)
-          std::memcpy(ys + r * ow, grid + r * pl.wq,
-                      static_cast<std::size_t>(ow) * sizeof(float));
+      if (!direct || !epi.empty()) {
+        prof::Span espan("nn.epilogue");
+        gemm::Epilogue eb = epi;
+        if (eb.residual != nullptr) eb.residual += b * out_c_ * oh * ow;
+        gemm::f32_epilogue(grid, pl.wq, out_c_, oh, ow, eb, ys);
       }
     }
   });
@@ -114,8 +114,9 @@ void PackedLinear::refresh() {
   packed_version_ = weight_->version;
 }
 
-Tensor PackedLinear::forward(const Tensor& x) {
+Tensor PackedLinear::forward(const Tensor& x, const gemm::Epilogue& epi) {
   prof::Span span(engine_name());
+  UPAQ_CHECK(epi.empty(), "PackedLinear has no epilogue");
   if (weight_->version != packed_version_) refresh();
   UPAQ_CHECK(x.rank() == 2 && x.dim(1) == in_f_,
              "PackedLinear expects (N," + std::to_string(in_f_) + ")");

@@ -2,7 +2,8 @@
 // nn::ForwardEngine hook: eval-mode forward runs the integer PackedGemm
 // instead of the float path, with activations quantized to int8 on entry
 // (conv inputs straight into zero-padded planes the GEMM reads its taps from,
-// no im2col) and requantized to float on exit. Training always stays on the
+// no im2col) and requantized to float on exit; a conv's epilogue (BN,
+// residual add, ReLU) is applied as its output is stored. Training always stays on the
 // float fake-quant path (the engines are inference-only).
 #pragma once
 
@@ -30,7 +31,7 @@ class PackedConv2d final : public nn::ForwardEngine {
   /// lowering.
   PackedConv2d(const nn::Conv2d& conv, const LowerSpec& spec);
 
-  Tensor forward(const Tensor& x) override;
+  Tensor forward(const Tensor& x, const gemm::Epilogue& epi) override;
   const char* engine_name() const override { return "qnn.packed_conv2d"; }
 
   const PackedGemm& gemm() const { return gemm_; }
@@ -53,7 +54,8 @@ class PackedLinear final : public nn::ForwardEngine {
  public:
   PackedLinear(const nn::Linear& linear, const LowerSpec& spec);
 
-  Tensor forward(const Tensor& x) override;
+  /// `epi` must be empty: a linear has no fused epilogue.
+  Tensor forward(const Tensor& x, const gemm::Epilogue& epi) override;
   const char* engine_name() const override { return "qnn.packed_linear"; }
 
   const PackedGemm& gemm() const { return gemm_; }

@@ -1,7 +1,6 @@
 #include "serve/serve.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -15,11 +14,8 @@ namespace upaq::serve {
 
 namespace {
 
-double steady_ms() {
-  using namespace std::chrono;
-  return duration<double, std::milli>(steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The steady clock (obs::now_ns) in milliseconds.
+double steady_ms() { return static_cast<double>(obs::now_ns()) / 1e6; }
 
 /// Histogram value of a ms duration. Negative deltas can't happen with a
 /// monotonic clock, but clamp anyway before the unsigned conversion.

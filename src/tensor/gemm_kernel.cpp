@@ -889,24 +889,37 @@ float s8_quantize_planes(const float* src, const PlaneLayout& l, int bits,
 
 namespace {
 
-/// nn::Relu::apply's select, v < 0 ? v * slope : v, as a bit select.
+/// nn::Relu::apply's select, v < 0 ? v * slope : v.
 inline float relu_select(float v, float slope) {
   const float scaled = v * slope;
   return v < 0.0f ? scaled : v;
 }
 
-template <bool Relu>
-void bn_eval_plane(const float* src, std::int64_t count, float g, float mean,
-                   float inv_std, float beta, float slope, float* dst) {
+/// One channel's eval BN constants.
+struct BnConst {
+  float g = 0.0f, mean = 0.0f, inv_std = 0.0f, beta = 0.0f;
+};
+
+/// The epilogue over `count` contiguous elements of one channel.
+template <bool kBn, bool kRes, bool kRelu>
+void epilogue_run(const float* src, const float* res, std::int64_t count,
+                  const BnConst& bn, float slope, float* dst) {
   std::int64_t i = 0;
 #ifdef UPAQ_S8_VEC
   for (; i + 8 <= count; i += 8) {
     v8sf v;
     __builtin_memcpy(&v, src + i, sizeof(v));
-    v8sf t = g * (v - mean) * inv_std;
-    UPAQ_NO_CONTRACT(t);
-    v = t + beta;
-    if constexpr (Relu) {
+    if constexpr (kBn) {
+      v8sf t = bn.g * (v - bn.mean) * bn.inv_std;
+      UPAQ_NO_CONTRACT(t);
+      v = t + bn.beta;
+    }
+    if constexpr (kRes) {
+      v8sf r;
+      __builtin_memcpy(&r, res + i, sizeof(r));
+      v = v + r;
+    }
+    if constexpr (kRelu) {
       const v8si neg = v < v8sf{};
       const v8sf scaled = v * slope;
       v = (v8sf)(((v8si)scaled & neg) | ((v8si)v & ~neg));
@@ -915,23 +928,88 @@ void bn_eval_plane(const float* src, std::int64_t count, float g, float mean,
   }
 #endif
   for (; i < count; ++i) {
-    float t = g * (src[i] - mean) * inv_std;
-    UPAQ_NO_CONTRACT(t);
-    const float v = t + beta;
-    dst[i] = Relu ? relu_select(v, slope) : v;
+    float v = src[i];
+    if constexpr (kBn) {
+      float t = bn.g * (v - bn.mean) * bn.inv_std;
+      UPAQ_NO_CONTRACT(t);
+      v = t + bn.beta;
+    }
+    if constexpr (kRes) v += res[i];
+    if constexpr (kRelu) v = relu_select(v, slope);
+    dst[i] = v;
+  }
+}
+
+template <bool kBn, bool kRes, bool kRelu>
+void epilogue_map(const float* src, std::int64_t src_stride,
+                  std::int64_t channels, std::int64_t h, std::int64_t w,
+                  const Epilogue& e, float* dst) {
+  const auto consts = [&](std::int64_t ch) {
+    BnConst c;
+    if constexpr (kBn)
+      c = {e.gamma[ch], e.mean[ch], 1.0f / std::sqrt(e.var[ch] + e.eps),
+           e.beta[ch]};
+    return c;
+  };
+  const auto res = [&](std::int64_t off) {
+    return kRes ? e.residual + off : nullptr;
+  };
+  const std::int64_t rows = channels * h;
+  if (src_stride == w) {
+    // Dense: each channel is one run of h * w elements, so chunk the flat
+    // range and split the chunks at channel edges.
+    const std::int64_t plane = h * w, total = rows * w;
+    auto elems = [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1;) {
+        const std::int64_t ch = i / plane;
+        const std::int64_t end = std::min(i1, (ch + 1) * plane);
+        epilogue_run<kBn, kRes, kRelu>(src + i, res(i), end - i, consts(ch),
+                                       e.slope, dst + i);
+        i = end;
+      }
+    };
+    if (total < kMinParallelWork) {
+      elems(0, total);
+    } else {
+      parallel::parallel_for(0, total, kMinParallelWork, elems);
+    }
+    return;
+  }
+  auto row_range = [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1;) {
+      const std::int64_t ch = r / h;
+      const std::int64_t end = std::min(r1, (ch + 1) * h);
+      const BnConst bn = consts(ch);
+      for (; r < end; ++r)
+        epilogue_run<kBn, kRes, kRelu>(src + r * src_stride, res(r * w), w,
+                                       bn, e.slope, dst + r * w);
+    }
+  };
+  if (rows * w < kMinParallelWork) {
+    row_range(0, rows);
+  } else {
+    parallel::parallel_for(0, rows, std::max<std::int64_t>(1, kMinParallelWork / w),
+                           row_range);
   }
 }
 
 }  // namespace
 
-void f32_bn_eval(const float* src, std::int64_t count, float g, float mean,
-                 float inv_std, float beta, bool relu, float slope,
-                 float* dst) {
-  if (relu) {
-    bn_eval_plane<true>(src, count, g, mean, inv_std, beta, slope, dst);
-  } else {
-    bn_eval_plane<false>(src, count, g, mean, inv_std, beta, slope, dst);
-  }
+void f32_epilogue(const float* src, std::int64_t src_stride,
+                  std::int64_t channels, std::int64_t h, std::int64_t w,
+                  const Epilogue& e, float* dst) {
+  UPAQ_CHECK(src_stride >= w && (dst != src || src_stride == w),
+             "f32_epilogue: rows overlap their output");
+  using Map = void (*)(const float*, std::int64_t, std::int64_t, std::int64_t,
+                       std::int64_t, const Epilogue&, float*);
+  static constexpr Map kMaps[8] = {
+      epilogue_map<false, false, false>, epilogue_map<false, false, true>,
+      epilogue_map<false, true, false>,  epilogue_map<false, true, true>,
+      epilogue_map<true, false, false>,  epilogue_map<true, false, true>,
+      epilogue_map<true, true, false>,   epilogue_map<true, true, true>};
+  const int which = (e.gamma != nullptr ? 4 : 0) |
+                    (e.residual != nullptr ? 2 : 0) | (e.relu ? 1 : 0);
+  kMaps[which](src, src_stride, channels, h, w, e, dst);
 }
 
 }  // namespace upaq::gemm

@@ -27,7 +27,7 @@
 // The TU also hosts the packed path's hot loops for its -march=native
 // codegen: the integer segment GEMM, the int8 activation quantizer, the
 // zero-padded plane build the packed conv reads its taps from
-// (PlaneLayout), and the eval BatchNorm.
+// (PlaneLayout), and the eval conv epilogue (BN, residual add, ReLU).
 #pragma once
 
 #include <cstdint>
@@ -170,12 +170,42 @@ void plane_row_offsets(const PlaneLayout& l, std::int32_t* row_off);
 float s8_quantize_planes(const float* src, const PlaneLayout& l, int bits,
                          std::int8_t* dst);
 
-/// Eval-mode batch norm of one channel plane, optionally with the ReLU
-/// select: per element
-///   v = g * (x - mean) * inv_std + beta,  then  v < 0 ? v * slope : v
-/// with exactly those roundings (the product is pinned before the add, so
-/// no FMA contraction at any vector width). `dst` may alias `src`.
-void f32_bn_eval(const float* src, std::int64_t count, float g, float mean,
-                 float inv_std, float beta, bool relu, float slope, float* dst);
+/// The eval-mode conv epilogue: what a conv's consumers (BN, a residual
+/// add, ReLU) do to its output, applied in the one pass that stores it.
+/// Per element, in this order and with exactly these roundings:
+///   v = src                                    the conv output
+///   t = gamma * (v - mean) * inv_std           BN, inv_std = 1 / sqrt(var + eps);
+///   v = t + beta                               the product is pinned before
+///                                              the add, so no FMA contraction
+///   v = v + residual
+///   v = v < 0 ? v * slope : v                  nn::Relu::apply's select
+/// Each step is optional: BN when `gamma` is set, the add when `residual`
+/// is, the select when `relu` is.
+struct Epilogue {
+  const float* gamma = nullptr;  ///< per channel; null = no BN
+  const float* beta = nullptr;
+  const float* mean = nullptr;   ///< running statistics
+  const float* var = nullptr;
+  float eps = 0.0f;
+  const float* residual = nullptr;  ///< laid out like dst; null = no add
+  bool relu = false;
+  float slope = 0.0f;
+  bool empty() const {
+    return gamma == nullptr && residual == nullptr && !relu;
+  }
+};
+
+/// Applies `e` to a (channels, h, w) map. Row (ch, y) is read from the w
+/// floats at src + (ch*h + y) * src_stride, so a conv's padded-width grid
+/// (src_stride = PlaneLayout::wq) is cropped to its w valid columns in the
+/// same pass, and written to dst + (ch*h + y) * w; e.residual has dst's
+/// layout. `dst` may equal `src` when src_stride == w (in place). One
+/// 8-lane vector body with a scalar tail; parallel over static chunks of
+/// rows (elements when the map is dense) above the kernel TU's parallel
+/// threshold. Every element is computed independently, so the result is
+/// the same at any thread count, vector width or column position.
+void f32_epilogue(const float* src, std::int64_t src_stride,
+                  std::int64_t channels, std::int64_t h, std::int64_t w,
+                  const Epilogue& e, float* dst);
 
 }  // namespace upaq::gemm

@@ -11,6 +11,7 @@
 #include "detectors/pointpillars.h"
 #include "detectors/smoke.h"
 #include "detectors/specs.h"
+#include "parallel/thread_pool.h"
 #include "qnn/qlayers.h"
 #include "train/optimizer.h"
 
@@ -317,6 +318,84 @@ TEST(Smoke, ConstructionAndResidualTopology) {
   std::size_t biggest = 0;
   for (const auto& grp : groups) biggest = std::max(biggest, grp.members.size());
   EXPECT_GE(biggest, 5u);
+}
+
+/// Runs a detector's registered topology one layer at a time: the input
+/// node holds `input`, a layer node applies its layer's forward to its one
+/// input, and a dataflow node (a residual ".add") sums its two inputs.
+std::vector<Tensor> walk_topology(const graph::Graph& g, const Tensor& input) {
+  std::vector<Tensor> val(static_cast<std::size_t>(g.size()));
+  const auto at = [&](int id) -> Tensor& {
+    return val[static_cast<std::size_t>(id)];
+  };
+  for (int id = 0; id < g.size(); ++id) {
+    const graph::Node& n = g.node(id);
+    if (n.inputs.empty()) {
+      at(id) = input;
+    } else if (n.layer != nullptr) {
+      at(id) = n.layer->forward(at(n.inputs[0]));
+    } else {
+      EXPECT_EQ(n.inputs.size(), 2u) << n.name;
+      at(id) = at(n.inputs[0]);
+      at(id).add_(at(n.inputs[1]));
+    }
+  }
+  return val;
+}
+
+TEST(Smoke, FusedForwardMatchesLayerByLayerTopology) {
+  // Smoke::forward runs each stage's down conv and residual units as single
+  // conv calls with the BN, the residual add and the ReLU fused into the
+  // conv's store (the stem, neck and head trunks through Sequential). The
+  // registered topology walked one layer at a time must give the same head
+  // maps bit for bit, on the float and the packed path, at 1 and 4 threads.
+  Rng rng(31);
+  detectors::Smoke smoke(tiny_smoke(), rng);
+  for (const auto& l : smoke.layers()) {
+    if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(l.get())) {
+      const std::int64_t c = bn->channels();
+      bn->gamma().value = Tensor::uniform({c}, rng, 0.5f, 1.5f);
+      bn->beta().value = Tensor::uniform({c}, rng, -0.5f, 0.5f);
+      bn->running_mean() = Tensor::uniform({c}, rng, -0.3f, 0.3f);
+      bn->running_var() = Tensor::uniform({c}, rng, 0.5f, 2.0f);
+    }
+  }
+  smoke.set_training(false);
+  const Tensor image = smoke.render(simple_scene());
+  const auto& cam = smoke.config().camera;
+  const auto& g = smoke.topology();
+  ASSERT_NE(g.find("stage0.res0.add"), -1);
+  for (const bool packed : {false, true}) {
+    if (packed) {
+      for (const auto& l : smoke.layers()) {
+        if (l->kind() == nn::LayerKind::kConv2d) {
+          ASSERT_TRUE(qnn::lower_layer(*l, qnn::LowerSpec{}));
+        }
+      }
+    }
+    const auto want =
+        walk_topology(g, image.reshape({1, 3, cam.height, cam.width}));
+    const Tensor& want_hm = want[static_cast<std::size_t>(g.find("hm.out"))];
+    const Tensor& want_reg = want[static_cast<std::size_t>(g.find("reg.out"))];
+    for (const int threads : {1, 4}) {
+      parallel::set_thread_count(threads);
+      detectors::Smoke::ForwardState got;
+      smoke.forward(image, got);
+      parallel::set_thread_count(1);
+      ASSERT_EQ(got.heatmap_logits.shape(), want_hm.shape());
+      ASSERT_EQ(got.reg_out.shape(), want_reg.shape());
+      for (std::int64_t i = 0; i < want_hm.numel(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.heatmap_logits[i]),
+                  std::bit_cast<std::uint32_t>(want_hm[i]))
+            << (packed ? "packed" : "float") << " threads " << threads
+            << " heatmap " << i;
+      for (std::int64_t i = 0; i < want_reg.numel(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.reg_out[i]),
+                  std::bit_cast<std::uint32_t>(want_reg[i]))
+            << (packed ? "packed" : "float") << " threads " << threads
+            << " regression " << i;
+    }
+  }
 }
 
 TEST(Smoke, RenderIsDeterministicPerScene) {

@@ -1,18 +1,22 @@
 // NN framework tests: analytic backward passes are validated against finite
 // differences for every layer, plus module/state-dict behaviour, mask
-// semantics, the concat/split helpers, and the in-place eval epilogue
-// (bitwise equal to layer-by-layer forward; training untouched) and the
-// vectorised eval BN (bitwise equal to the scalar expression).
+// semantics, the concat/split helpers, the conv epilogue (BN, residual add
+// and ReLU fused into the conv's store, float and packed: bitwise equal to
+// layer-by-layer forward; training untouched) and the vectorised eval BN
+// (bitwise equal to the scalar expression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 
 #include "nn/module.h"
+#include "parallel/thread_pool.h"
 #include "prof/prof.h"
+#include "qnn/qlayers.h"
 #include "test_util.h"
 
 namespace upaq {
@@ -174,8 +178,8 @@ TEST(BatchNorm2d, GradCheck) {
 }
 
 TEST(BatchNorm2d, EvalMatchesScalarReferenceBitwise) {
-  // The eval path (forward, and forward_inplace_relu's fused epilogue) is a
-  // vector loop in the kernel TU. It must equal the scalar per-element
+  // The eval path (forward, and the in-place BN then ReLU) is a vector
+  // loop in the kernel TU (gemm::f32_epilogue). It must equal the scalar per-element
   // expression g * (v - mean) * inv_std + beta, then Relu::apply, bit for
   // bit: no FMA contraction, the same rounding order, -0.0 and the leaky
   // slope kept. Plane sizes straddle the vector widths (1, 15, 17, 49, 63).
@@ -218,7 +222,8 @@ TEST(BatchNorm2d, EvalMatchesScalarReferenceBitwise) {
 
       const Tensor got_bn = bn.forward(x);
       Tensor got_relu = x;
-      bn.forward_inplace_relu(got_relu, relu);
+      bn.forward_inplace(got_relu);
+      relu.forward_inplace(got_relu);
       for (std::int64_t i = 0; i < x.numel(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(got_bn[i]),
                   std::bit_cast<std::uint32_t>(want_bn[i]))
@@ -414,8 +419,9 @@ TEST(Sequential, EvalEpilogueMatchesLayerByLayerAndKeepsInput) {
   expect_bitwise_equal(got, want, "eval Sequential vs layer-by-layer");
   expect_bitwise_equal(x, x_before, "caller's input");
 
-  // Traced: the fused pairs emit one span under the BN's name, nothing for
-  // their ReLUs; every other layer keeps its own span.
+  // Traced: each conv runs the BN and ReLU after it as its epilogue, under
+  // the conv's span with a nested "nn.epilogue"; the fused BN and ReLU
+  // layers emit no span of their own. Every other layer keeps its span.
   prof::set_enabled(true);
   prof::reset();
   const Tensor traced = net.seq.forward(x);
@@ -424,10 +430,10 @@ TEST(Sequential, EvalEpilogueMatchesLayerByLayerAndKeepsInput) {
   prof::set_enabled(false);
   prof::reset();
   expect_bitwise_equal(traced, want, "traced eval Sequential");
-  for (const char* n : {"c0", "bn0", "c1", "bn1", "up", "c2", "r2", "c3", "bn3"})
+  for (const char* n : {"c0", "c1", "up", "c2", "c3", "nn.epilogue"})
     EXPECT_TRUE(names.count(n)) << "missing span " << n;
-  EXPECT_FALSE(names.count("r0"));
-  EXPECT_FALSE(names.count("r1"));
+  for (const char* n : {"bn0", "r0", "bn1", "r1", "r2", "bn3"})
+    EXPECT_FALSE(names.count(n)) << "fused layer " << n << " has a span";
 }
 
 TEST(Sequential, TrainingStepMatchesLayerByLayer) {
@@ -456,6 +462,130 @@ TEST(Sequential, TrainingStepMatchesLayerByLayer) {
   const auto pb = b.m.parameters();
   for (std::size_t i = 0; i < pa.size(); ++i)
     expect_bitwise_equal(pa[i]->grad, pb[i]->grad, pa[i]->name.c_str());
+}
+
+TEST(ConvEpilogue, MatchesLayerByLayerBitwise) {
+  // Conv2d::forward(x, epi) applies BN, the residual add and the ReLU as the
+  // conv output is stored: on the float path in place, on the packed path
+  // while cropping the padded-width grid. Either way every element must
+  // equal the layer-by-layer sequence (conv, BN, add_, ReLU) and the scalar
+  // expression, bit for bit. Conv biases of +inf, -inf and -0.0, a gamma-0
+  // channel with beta -0.0, and +-inf / -0.0 residual entries send -0.0,
+  // infinities and NaN (0 * inf, -inf * slope 0) through every step. Output
+  // widths hit the 8-lane body, its scalar tail and ow < 8; the largest map
+  // crosses the parallel threshold, and its grid the 64- and 16-column GEMM
+  // blocks.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::int64_t cin = 3, cout = 6, batch = 2;
+  struct Map {
+    std::int64_t h, w;
+  };
+  enum Variant { kBn, kBnResidual, kReluOnly, kNone };
+  Rng rng(77);
+  for (const bool packed : {false, true})
+    for (const int stride : {1, 2})
+      for (const int pad : {0, 1})
+        for (const Map map : {Map{7, 6}, Map{9, 21}, Map{92, 83}}) {
+          nn::Conv2d conv(cin, cout, 3, stride, pad, true, rng, "conv");
+          Tensor& bias = conv.bias()->value;
+          bias = Tensor::uniform({cout}, rng, -0.5f, 0.5f);
+          bias[1] = inf;
+          bias[2] = -inf;
+          bias[3] = -0.0f;
+          if (packed) {
+            qnn::LowerSpec spec;
+            spec.group_size = 9;
+            ASSERT_TRUE(qnn::lower_layer(conv, spec));
+          }
+          conv.set_training(false);
+          const Tensor x =
+              Tensor::uniform({batch, cin, map.h, map.w}, rng, -2.0f, 2.0f);
+          const Tensor conv_out = conv.forward(x);  // no epilogue
+          nn::BatchNorm2d bn(cout, rng, "bn");
+          bn.gamma().value = Tensor::uniform({cout}, rng, -1.5f, 1.5f);
+          bn.beta().value = Tensor::uniform({cout}, rng, -0.5f, 0.5f);
+          bn.running_mean() = Tensor::uniform({cout}, rng, -0.3f, 0.3f);
+          bn.running_var() = Tensor::uniform({cout}, rng, 0.05f, 2.0f);
+          bn.gamma().value[0] = 0.0f;
+          bn.beta().value[0] = -0.0f;
+          bn.set_training(false);
+          Tensor residual =
+              Tensor::uniform(conv_out.shape(), rng, -1.0f, 1.0f);
+          for (std::int64_t i = 0; i < residual.numel(); i += 7)
+            residual[i] = i % 3 == 0 ? -0.0f : (i % 3 == 1 ? inf : -inf);
+          const std::int64_t plane = conv_out.dim(2) * conv_out.dim(3);
+
+          for (const float slope : {0.0f, 0.1f}) {
+            nn::Relu relu("relu", slope);
+            relu.set_training(false);
+            for (const Variant v : {kBn, kBnResidual, kReluOnly, kNone}) {
+              nn::ConvEpilogue epi;
+              if (v == kBn || v == kBnResidual) epi.bn = &bn;
+              if (v == kBnResidual) epi.residual = &residual;
+              if (v != kBn && v != kNone) epi.relu = &relu;
+              // The unfused layers, one call each.
+              Tensor want = conv.forward(x);
+              if (epi.bn != nullptr) want = bn.forward(want);
+              if (epi.residual != nullptr) want.add_(residual);
+              if (epi.relu != nullptr) want = relu.forward(want);
+              // The per-element expression over the unfused conv output.
+              Tensor scalar = conv_out;
+              for (std::int64_t i = 0; i < scalar.numel(); ++i) {
+                const std::int64_t ch = (i / plane) % cout;
+                float e = scalar[i];
+                if (epi.bn != nullptr) {
+                  const float inv_std =
+                      1.0f / std::sqrt(bn.running_var()[ch] + 1e-5f);
+                  e = bn.gamma().value[ch] * (e - bn.running_mean()[ch]) *
+                          inv_std +
+                      bn.beta().value[ch];
+                }
+                if (epi.residual != nullptr) e += residual[i];
+                if (epi.relu != nullptr) e = nn::Relu::apply(e, slope);
+                scalar[i] = e;
+              }
+              for (const int threads : {1, 4}) {
+                parallel::set_thread_count(threads);
+                const Tensor got = conv.forward(x, epi);
+                parallel::set_thread_count(1);
+                char what[160];
+                std::snprintf(what, sizeof(what),
+                              "%s s%d p%d %lldx%lld slope %g variant %d "
+                              "threads %d",
+                              packed ? "packed" : "float", stride, pad,
+                              static_cast<long long>(map.h),
+                              static_cast<long long>(map.w), slope,
+                              static_cast<int>(v), threads);
+                expect_bitwise_equal(got, want, what);
+                expect_bitwise_equal(got, scalar, what);
+              }
+            }
+          }
+        }
+}
+
+TEST(ConvEpilogue, TrainingModeRunsTheLayersAndFillsTheirCaches) {
+  // In training mode forward(x, epi) is the plain call sequence: the BN
+  // uses batch statistics and every layer caches what backward needs.
+  Rng rng(78);
+  nn::Conv2d a(2, 3, 3, 1, 1, false, rng, "c");
+  Rng rng_b(78);
+  nn::Conv2d b(2, 3, 3, 1, 1, false, rng_b, "c");
+  nn::BatchNorm2d bn_a(3, rng, "bn"), bn_b(3, rng, "bn");
+  nn::Relu relu_a("r", 0.1f), relu_b("r", 0.1f);
+  const Tensor x = Tensor::uniform({2, 2, 5, 6}, rng, -1.0f, 1.0f);
+  const Tensor res = Tensor::uniform({2, 3, 5, 6}, rng, -1.0f, 1.0f);
+  const Tensor ya = a.forward(x, {.bn = &bn_a, .residual = &res, .relu = &relu_a});
+  Tensor yb = bn_b.forward(b.forward(x));
+  yb.add_(res);
+  yb = relu_b.forward(yb);
+  expect_bitwise_equal(ya, yb, "training forward");
+  expect_bitwise_equal(bn_a.running_mean(), bn_b.running_mean(), "running mean");
+  const Tensor g = Tensor::uniform(ya.shape(), rng, -1.0f, 1.0f);
+  expect_bitwise_equal(a.backward(bn_a.backward(relu_a.backward(g))),
+                       b.backward(bn_b.backward(relu_b.backward(g))),
+                       "input gradient");
+  expect_bitwise_equal(a.weight().grad, b.weight().grad, "weight gradient");
 }
 
 TEST(Relu, InPlaceSelectMatchesForwardOnSpecialValues) {

@@ -151,6 +151,37 @@ TEST_F(ProfTest, TogglingMidSpanIsSafe) {
   EXPECT_EQ(find_event(events, "open-while-off"), nullptr);
 }
 
+/// The conv whose epilogue runs the BN layer `name` (the BN's producer in
+/// the topology), or nullptr when `name` is not such a BN.
+const nn::Layer* fused_into_conv(const detectors::Detector3D& model,
+                                 const std::string& name) {
+  const auto& g = model.topology();
+  const int id = g.find(name);
+  if (id < 0 || g.node(id).layer == nullptr ||
+      g.node(id).layer->kind() != nn::LayerKind::kBatchNorm ||
+      g.node(id).inputs.size() != 1)
+    return nullptr;
+  const nn::Layer* producer = g.node(g.node(id).inputs[0]).layer;
+  return producer != nullptr && producer->kind() == nn::LayerKind::kConv2d
+             ? producer
+             : nullptr;
+}
+
+/// True when a span named `inner` lies inside a span named `outer` on the
+/// same thread, one level deeper.
+bool has_nested_span(const std::vector<prof::Event>& events,
+                     const std::string& outer, const std::string& inner) {
+  for (const auto& o : events) {
+    if (o.name != outer) continue;
+    for (const auto& i : events)
+      if (i.name == inner && i.tid == o.tid && i.depth == o.depth + 1 &&
+          i.start_ns >= o.start_ns &&
+          i.start_ns + i.dur_ns <= o.start_ns + o.dur_ns)
+        return true;
+  }
+  return false;
+}
+
 std::vector<eval::Box3D> detect_once(bool traced) {
   prof::set_enabled(traced);
   Rng rng(4242);
@@ -202,13 +233,24 @@ TEST_F(ProfTest, DetectorForwardCoversEveryProfiledLayer) {
        {"detect", "pre.pillarize", "pfn.maxpool", "pre.scatter", "post.nms"})
     EXPECT_TRUE(names.count(stage)) << "missing stage span: " << stage;
 
-  // Every weighted layer in the cost profile must have produced >= 1 span.
+  // Every weighted layer in the cost profile must have produced >= 1 span,
+  // except a BN its conv runs as its epilogue: that BN has no span of its
+  // own, and the conv's span holds an "nn.epilogue" span.
   Rng rng(4242);
   detectors::PointPillars model(detectors::PointPillarsConfig::scaled(), rng);
+  int fused = 0;
   for (const auto& p : model.cost_profile()) {
     if (p.weight_count == 0) continue;  // pre/post stages checked above
+    if (const nn::Layer* conv = fused_into_conv(model, p.name)) {
+      ++fused;
+      EXPECT_FALSE(names.count(p.name)) << "fused BN has a span: " << p.name;
+      EXPECT_TRUE(has_nested_span(events, conv->name(), "nn.epilogue"))
+          << "no nn.epilogue span inside " << conv->name();
+      continue;
+    }
     EXPECT_TRUE(names.count(p.name)) << "missing layer span: " << p.name;
   }
+  EXPECT_EQ(fused, 7);  // block0..2.bn0/bn1 and head.bn0
 
   // The GEMM and im2col counters moved during the forward.
   EXPECT_GT(prof::counter_value(prof::Counter::kGemmFlops), 0u);
@@ -391,17 +433,21 @@ TEST_F(ProfTest, CostReportMatchesProfiledLayersByName) {
       prof::snapshot_events(), cost_model, model.cost_profile(), /*passes=*/1);
 
   ASSERT_EQ(cmp.rows.size(), model.cost_profile().size());
-  int matched = 0;
+  int matched = 0, fused = 0;
   for (const auto& row : cmp.rows) {
     EXPECT_GT(row.modeled_ms, 0.0) << row.name;
     if (row.spans > 0) {
       ++matched;
       EXPECT_GT(row.measured_ms, 0.0) << row.name;
       EXPECT_GT(row.drift, 0.0) << row.name;
+    } else if (fused_into_conv(model, row.name) != nullptr) {
+      ++fused;
     }
   }
-  // Every profile entry is instrumented, so every row should be measured.
-  EXPECT_EQ(matched, static_cast<int>(cmp.rows.size()));
+  // Every profile entry is instrumented, so every row is measured except the
+  // BNs the convs run as their epilogues (timed inside the conv's row).
+  EXPECT_EQ(fused, 7);
+  EXPECT_EQ(matched + fused, static_cast<int>(cmp.rows.size()));
   EXPECT_GT(cmp.measured_total_ms, 0.0);
   EXPECT_GT(cmp.modeled_total_ms, 0.0);
   EXPECT_GT(cmp.median_drift, 0.0);

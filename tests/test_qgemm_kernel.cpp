@@ -412,7 +412,7 @@ TEST(QgemmKernel, PlaneConvMatchesFrozenIm2colReferenceBitwise) {
                 }
                 for (const int threads : {1, 4}) {
                   parallel::set_thread_count(threads);
-                  const Tensor got = eng.forward(x);
+                  const Tensor got = eng.forward(x, {});
                   parallel::set_thread_count(1);
                   char what[160];
                   std::snprintf(what, sizeof(what),
